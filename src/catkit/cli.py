@@ -49,13 +49,32 @@ def _perm_strs(perms) -> list[str]:
     return sorted(pm.format_perm(w) for w in perms)
 
 
+def _parse_perms(*texts: str | None) -> list[pm.Perm]:
+    """Parse permutations given on the command line, all of one degree."""
+    perms = []
+    for text in texts:
+        if text is None:
+            raise SystemExit("a permutation argument is required")
+        try:
+            w = pm.parse_perm(text)
+        except ValueError:
+            w = None
+        if w is None or not pm.is_permutation(w):
+            raise SystemExit(f"not a permutation: {text!r}")
+        perms.append(w)
+    if len({len(w) for w in perms}) > 1:
+        raise SystemExit("permutations of different degrees: "
+                         + " ".join(texts))
+    return perms
+
+
 def _cmd_hecke(args) -> int:
     n = args.n
     if args.mul:
-        a, b = (pm.parse_perm(t) for t in args.mul)
+        a, b = _parse_perms(*args.mul)
         _emit({"product": pm.format_perm(hecke.mul(a, b))}, args)
     elif args.ideal:
-        w = pm.parse_perm(args.ideal)
+        (w,) = _parse_perms(args.ideal)
         _emit({"ideal": _perm_strs(hecke.bruhat_ideal(w))}, args)
     elif args.idempotents:
         if n is None:
@@ -75,7 +94,7 @@ def _cmd_dcm(args) -> int:
     n = args.n
     action = args.action
     if action == "psi":
-        w = pm.parse_perm(args.argument)
+        (w,) = _parse_perms(args.argument)
         _emit({"matrix": bm.to_row_strings(dcm.dc_of_perm(w))}, args)
     elif action == "fiber":
         x = bm.parse_matrix(args.argument)
@@ -100,10 +119,9 @@ def _cmd_dcm(args) -> int:
     elif action == "verify-presentation":
         if n is None:
             raise SystemExit("verify-presentation requires --n")
-        guard = args.cap if args.cap else dcm.DEFAULT_WORD_GUARD
-        report = dcm.verify_presentation(n, word_guard=guard)
+        report = dcm.verify_presentation(n)
         _emit({"presented_size": report.presented_size,
-               "matches": report.matches, "stable": report.stable}, args)
+               "matches": report.matches}, args)
     else:
         raise SystemExit(f"unknown dcm action {action!r}")
     return 0
@@ -211,9 +229,7 @@ def _cmd_repmin(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    report = verify.run_verify_all(
-        n_max=args.n_max, seed=args.seed, jobs=args.jobs,
-        include_n5_presentation=args.presentation_n5)
+    report = verify.run_verify_all(n_max=args.n_max, seed=args.seed)
     _emit(report, args)
     if not report["passed"]:
         for name, res in sorted(report["checks"].items()):
@@ -258,12 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--json", action="store_true", default=True,
-                       help="JSON output (default)")
         p.add_argument("--cap", type=int, default=None,
-                       help="element or word cap override")
+                       help="degree cap (dcm count) or element cap (coxeter)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("hecke", help="products, ideals, foldings")
     p.add_argument("--n", type=int)
@@ -311,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run every verification suite")
     p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--presentation-n5", action="store_true",
-                   help="include the degree-5 presentation check (slow)")
     common(p)
     p.set_defaults(func=_cmd_verify_all)
 

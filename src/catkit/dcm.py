@@ -21,33 +21,28 @@ onto the non-decreasing Catalan monoid (321/312-avoiding witnesses, fibers
 are Bruhat intervals) are implemented alongside.
 
 The finite presentation (idempotency, distant commutation, braid moves,
-plus one extra length 5 = 6 relation) is verified by bounded congruence
-closure over all words up to length n(n-1)/2 + 2, with a stability re-run
-one letter longer.
+plus one extra length 5 = 6 relation) is certified exactly: Todd-Coxeter
+enumeration builds the presented monoid, and its table must match the
+matrix closure generator for generator.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import boolmat as bm
 from . import permutations as pm
 from .boolmat import BoolMat
-from .monoid import MonoidTable, generate_monoid
+from .monoid import (MonoidTable, enumerate_presentation, generate_monoid,
+                     generators_match)
 from .permutations import MonotoneMap, Perm
 
 DEFAULT_DEGREE_CAP = 8
-DEFAULT_WORD_GUARD = 1 << 26
 
 
 class InternalInconsistency(AssertionError):
     """The two computation routes for the projection disagreed."""
-
-
-class WordGuardExceeded(RuntimeError):
-    """The bounded word graph would exceed the configured memory guard."""
 
 
 def generator(i: int, n: int) -> BoolMat:
@@ -237,7 +232,7 @@ def dc_idempotents(n: int) -> list[BoolMat]:
 
 
 # ---------------------------------------------------------------------------
-# Presentation verification by bounded congruence closure.
+# Presentation certificate by coset enumeration.
 
 def presentation_relations(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Defining relation pairs on letters 1..n-1 (words as letter tuples)."""
@@ -259,191 +254,21 @@ def presentation_relations(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...
 class PresentationReport:
     presented_size: int
     matches: bool
-    stable: bool
 
 
-def _word_offsets(a: int, max_len: int) -> list[int]:
-    """offsets[l] = number of words of length < l over an a-letter alphabet."""
-    offsets = [0]
-    for length in range(max_len + 1):
-        offsets.append(offsets[-1] + a ** length)
-    return offsets
+def verify_presentation(n: int) -> PresentationReport:
+    """Certify that the relation list presents the degree-n monoid.
 
-
-def _components_dsu(a: int, rels, max_len: int, short_len: int) -> list[int]:
-    """Min-code component labels of all words of length <= short_len."""
-    offsets = _word_offsets(a, max_len)
-    total = offsets[max_len + 1]
-    parent = list(range(total))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(v: int, w: int) -> None:
-        rv, rw = find(v), find(w)
-        if rv == rw:
-            return
-        if rv > rw:
-            rv, rw = rw, rv
-        parent[rw] = rv  # root is the minimal code of its component
-
-    sides = []
-    for lhs, rhs in rels:
-        sides.append((lhs, rhs))
-        sides.append((rhs, lhs))
-
-    def code(word: tuple[int, ...]) -> int:
-        v = 0
-        for d in word:
-            v = v * a + d
-        return offsets[len(word)] + v
-
-    for length in range(max_len + 1):
-        for word in itertools.product(range(a), repeat=length):
-            c = code(word)
-            for lhs, rhs in sides:
-                k = len(lhs)
-                if length - k + len(rhs) > max_len:
-                    continue
-                for p in range(length - k + 1):
-                    if word[p:p + k] == lhs:
-                        union(c, code(word[:p] + rhs + word[p + k:]))
-    return [find(c) for c in range(offsets[short_len + 1])]
-
-
-def _components_numpy(a: int, rels, max_len: int, short_len: int) -> list[int]:
-    """Same labels as the union-find route, by vectorized label propagation.
-
-    Words of length l are the integer block [offsets[l], offsets[l+1]); a
-    substring rewrite at position p is an affine map between such blocks,
-    so every edge batch of the rewrite graph is enumerated arithmetically.
-    Within one batch sources and targets are pairwise distinct, which makes
-    plain fancy-indexed minimum updates safe.
-    """
-    import numpy as np
-
-    offsets = _word_offsets(a, max_len)
-    total = offsets[max_len + 1]
-    labels = np.arange(total, dtype=np.int64)
-
-    batches = []
-    for lhs, rhs in rels:
-        lhs_code = 0
-        for d in lhs:
-            lhs_code = lhs_code * a + d
-        rhs_code = 0
-        for d in rhs:
-            rhs_code = rhs_code * a + d
-        k, k2 = len(lhs), len(rhs)
-        for length in range(k, max_len + 1):
-            if length - k + k2 > max_len:
-                continue
-            for p in range(length - k + 1):
-                t = length - p - k
-                batches.append((length, length - k + k2, p, t,
-                                lhs_code, rhs_code, k, k2))
-
-    chunk = 1 << 22
-    while True:
-        changed = False
-        for (l1, l2, p, t, c1, c2, k, k2) in batches:
-            pcount = a ** p
-            tcount = a ** t
-            base1 = offsets[l1] + c1 * tcount
-            base2 = offsets[l2] + c2 * tcount
-            step1 = a ** (k + t)
-            step2 = a ** (k2 + t)
-            lo = np.arange(tcount, dtype=np.int64)
-            for start in range(0, pcount, max(1, chunk // max(tcount, 1))):
-                stop = min(pcount, start + max(1, chunk // max(tcount, 1)))
-                hi = np.arange(start, stop, dtype=np.int64)
-                src = (base1 + hi[:, None] * step1 + lo[None, :]).ravel()
-                dst = (base2 + hi[:, None] * step2 + lo[None, :]).ravel()
-                ls = labels[src]
-                ld = labels[dst]
-                m = np.minimum(ls, ld)
-                if not changed and (np.any(m < ls) or np.any(m < ld)):
-                    changed = True
-                labels[src] = m
-                labels[dst] = m
-        # pointer jumping to speed up convergence
-        for _ in range(2):
-            labels = np.minimum(labels, labels[labels])
-        if not changed:
-            break
-    return labels[:offsets[short_len + 1]].tolist()
-
-
-_DSU_LIMIT = 300_000
-
-
-def _decode(code: int, a: int, max_len: int) -> tuple[int, ...]:
-    offsets = _word_offsets(a, max_len)
-    length = 0
-    while offsets[length + 1] <= code:
-        length += 1
-    v = code - offsets[length]
-    digits = []
-    for _ in range(length):
-        digits.append(v % a)
-        v //= a
-    return tuple(reversed(digits))
-
-
-def _short_component_count(n: int, max_len: int, short_len: int,
-                           word_guard: int, engine: str) -> tuple[int, list[int]]:
-    a = n - 1
-    rels = [(tuple(x - 1 for x in lhs), tuple(x - 1 for x in rhs))
-            for lhs, rhs in presentation_relations(n)]
-    offsets = _word_offsets(a, max_len)
-    if offsets[max_len + 1] > word_guard:
-        raise WordGuardExceeded(
-            f"{offsets[max_len + 1]} words exceed guard {word_guard}; "
-            "raise word_guard to proceed")
-    if engine == "auto":
-        engine = "dsu" if offsets[max_len + 1] <= _DSU_LIMIT else "numpy"
-    if engine == "dsu":
-        short_labels = _components_dsu(a, rels, max_len, short_len)
-    elif engine == "numpy":
-        short_labels = _components_numpy(a, rels, max_len, short_len)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    reps = sorted(set(short_labels))
-    return len(reps), reps
-
-
-def verify_presentation(n: int, *, word_guard: int = DEFAULT_WORD_GUARD,
-                        engine: str = "auto") -> PresentationReport:
-    """Check that the relation list presents the degree-n monoid.
-
-    Builds the congruence generated by two-sided substring rewrites on all
-    words up to length n(n-1)/2 + 2, counts components that touch a word of
-    length <= n(n-1)/2, and compares with the monoid closure; components
-    must also evaluate to pairwise distinct monoid elements.  The count is
-    then recomputed with the length bound raised by one; a change means the
-    truncation was too tight and is reported, never silently accepted.
+    Todd-Coxeter enumeration closes the presented monoid into a table; the
+    map sending each presented generator to the matching matrix generator
+    extends to an isomorphism onto the closure of the matrices exactly when
+    generators_match holds, so a match is a proof, not a bounded search.
     """
     if n < 2:
         raise ValueError("presentation needs at least one generator")
-    table = dc_monoid(n)
-    short_len = n * (n - 1) // 2
-    max_len = short_len + 2
-    count, reps = _short_component_count(n, max_len, short_len,
-                                         word_guard, engine)
-    a = n - 1
-    evaluations = set()
-    for rep in reps:
-        word = _decode(rep, a, max_len)
-        x = bm.identity_mat(n)
-        for letter in word:
-            x = bm.mul(x, generator(letter + 1, n))
-        evaluations.add(x)
-    matches = (count == len(table)) and (len(evaluations) == count)
-    count2, _ = _short_component_count(n, max_len + 1, short_len,
-                                       word_guard, engine)
-    return PresentationReport(presented_size=count,
-                              matches=matches,
-                              stable=(count2 == count))
+    table = dc_monoid(n)  # first, so a degree above the cap fails fast
+    rels = [(tuple(x - 1 for x in lhs), tuple(x - 1 for x in rhs))
+            for lhs, rhs in presentation_relations(n)]
+    presented = enumerate_presentation(n - 1, rels)
+    return PresentationReport(presented_size=len(presented),
+                              matches=generators_match(presented, table))

@@ -11,6 +11,10 @@ element carries a shortest witness word.
 The right Cayley table is stored explicitly; arbitrary products are
 recovered by walking witness words through it, so no full product table is
 materialized unless asked for.
+
+A monoid given by a finite presentation is enumerated by Todd-Coxeter
+coset enumeration instead, and its finished table is renumbered by the same
+closure, so both routes yield comparable tables.
 """
 
 from __future__ import annotations
@@ -145,6 +149,106 @@ def generate_monoid(generators: Sequence[Hashable], mul: Callable,
     gens = tuple(index[g] for g in generators) if generators else ()
     return MonoidTable(elements=elements, index=index, gens=gens,
                        right=right, words=words)
+
+
+def enumerate_presentation(letters: int,
+                           relations: Sequence[tuple[Sequence[int],
+                                                     Sequence[int]]],
+                           cap: int | None = None) -> MonoidTable:
+    """Close the monoid on letters 0..letters-1 subject to relation pairs.
+
+    Todd-Coxeter enumeration with the HLT strategy: nodes stand for
+    elements, node 0 for the identity.  Every relation u = v is traced from
+    every live node in order of definition, defining missing edges on the
+    way; when the traces end at distinct nodes they are a coincidence, and
+    merging it may force further coincidences between the merged rows.
+    Once every live node is scanned and its row filled, each relation holds
+    at each node, so the nodes are exactly the elements of the presented
+    monoid.  More than cap live nodes at any one time raise
+    MonoidCapExceeded, which also stops the enumeration of an infinite
+    monoid.  The finished table is renumbered by generate_monoid.
+    """
+    table: list[list[int | None] | None] = [[None] * letters]
+    parent = [0]
+    live = 1
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def define(x: int, g: int) -> int:
+        nonlocal live
+        if cap is not None and live >= cap:
+            raise MonoidCapExceeded(
+                f"coset enumeration exceeded cap of {cap} live nodes")
+        y = len(table)
+        table.append([None] * letters)
+        parent.append(y)
+        table[x][g] = y
+        live += 1
+        return y
+
+    def trace(x: int, word: Sequence[int]) -> int:
+        for g in word:
+            y = table[x][g]
+            if y is None:
+                x = define(x, g)
+            else:
+                x = y if parent[y] == y else find(y)
+        return x
+
+    def coincide(a: int, b: int) -> None:
+        nonlocal live
+        queue = [(a, b)]
+        while queue:
+            a, b = queue.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            if a > b:
+                a, b = b, a
+            parent[b] = a  # the older node survives, so node 0 stays
+            live -= 1
+            row_a, row_b = table[a], table[b]
+            table[b] = None
+            for g, y in enumerate(row_b):
+                if y is not None:
+                    if row_a[g] is None:
+                        row_a[g] = y
+                    else:
+                        queue.append((row_a[g], y))
+
+    x = 0
+    while x < len(table):
+        for u, v in relations:
+            if parent[x] != x:
+                break
+            end = trace(x, u)
+            if not v:
+                coincide(end, x)
+                continue
+            # the last letter of v becomes a deduction, not a new node
+            prev = trace(x, v[:-1])
+            y = table[prev][v[-1]]
+            if y is None:
+                table[prev][v[-1]] = end
+            elif find(y) != end:
+                coincide(y, end)
+        if parent[x] == x:
+            for g in range(letters):
+                if table[x][g] is None:
+                    define(x, g)
+        x += 1
+
+    rows = {x: [find(y) for y in row]
+            for x, row in enumerate(table) if parent[x] == x}
+    letter_of: dict[int, int] = {}
+    for g, node in enumerate(rows[0]):
+        letter_of.setdefault(node, g)
+    return generate_monoid(rows[0], lambda x, node: rows[x][letter_of[node]],
+                           0, cap)
 
 
 def generators_match(a: MonoidTable, b: MonoidTable) -> bool:

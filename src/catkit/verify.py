@@ -280,16 +280,13 @@ def check_admissible_pairs(n_max: int, rng: random.Random) -> CheckResult:
     return CheckResult(name, True, {"range": f"1..{min(n_max, 6)}"})
 
 
-def check_presentation(n_max: int, rng: random.Random,
-                       include_n5: bool = False) -> CheckResult:
+def check_presentation(n_max: int, rng: random.Random) -> CheckResult:
     name = "presentation"
     sizes = {}
-    top = min(n_max, 5 if include_n5 else 4)
-    for n in range(2, top + 1):
-        guard = dcm.DEFAULT_WORD_GUARD if n < 5 else 1 << 28
-        report = dcm.verify_presentation(n, word_guard=guard)
+    for n in range(2, min(n_max, 4) + 1):
+        report = dcm.verify_presentation(n)
         sizes[str(n)] = report.presented_size
-        if not (report.matches and report.stable):
+        if not report.matches:
             return _fail(name, {"n": n, "report": vars(report)})
     return CheckResult(name, True, {"sizes": sizes})
 
@@ -472,24 +469,13 @@ ALL_CHECKS = [
 ]
 
 
-def run_verify_all(n_max: int = 4, seed: int = 0, jobs: int = 1,
-                   include_n5_presentation: bool = False) -> dict:
+def run_verify_all(n_max: int = 4, seed: int = 0) -> dict:
     """Run every suite up to n_max; the report maps check names to results.
 
-    Results are deterministic for a fixed (n_max, seed) regardless of jobs.
+    Results are deterministic for a fixed (n_max, seed): each check gets its
+    own generator seeded with seed.
     """
-    def run_one(fn) -> CheckResult:
-        rng = random.Random(seed)
-        if fn is check_presentation:
-            return fn(n_max, rng, include_n5=include_n5_presentation)
-        return fn(n_max, rng)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, ALL_CHECKS))
-    else:
-        results = [run_one(fn) for fn in ALL_CHECKS]
+    results = [fn(n_max, random.Random(seed)) for fn in ALL_CHECKS]
     results.sort(key=lambda r: r.name)
     return {
         "n_max": n_max,

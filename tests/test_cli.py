@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from catkit.cli import main
 
 
@@ -37,6 +39,20 @@ def test_dcm_psi(capsys):
     assert report["result"]["matrix"] == ["111", "111", "011"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["dcm", "psi", "1224"],
+    ["dcm", "psi"],
+    ["hecke", "--ideal", "12x"],
+    ["hecke", "--mul", "1224", "123"],
+    ["hecke", "--mul", "1234", "123"],
+])
+def test_bad_permutations_exit_with_a_message(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert "permutation" in str(exc.value)
+    assert capsys.readouterr().out == ""
+
+
 def test_dcm_fiber(capsys):
     _, report = run_cli(capsys, "dcm", "fiber", "1111,1111,1111,1111")
     assert report["result"]["tau"] == "4231"
@@ -54,8 +70,7 @@ def test_dcm_count_and_self_dual(capsys):
 
 def test_dcm_verify_presentation(capsys):
     _, report = run_cli(capsys, "dcm", "--n", "3", "verify-presentation")
-    assert report["result"] == {"presented_size": 6, "matches": True,
-                                "stable": True}
+    assert report["result"] == {"presented_size": 6, "matches": True}
 
 
 def test_dyck_commands(capsys):

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +5,8 @@ from catkit import boolmat as bm
 from catkit import dcm
 from catkit import hecke
 from catkit import permutations as pm
+from catkit.monoid import (MonoidCapExceeded, enumerate_presentation,
+                           generators_match)
 
 
 def perms(n_max=6):
@@ -218,30 +218,48 @@ def test_presentation_relation_list():
     assert not any(len(a) == 5 for a, b in dcm.presentation_relations(3))
 
 
-@pytest.mark.parametrize("n,size", [(2, 2), (3, 6), (4, 23)])
+def _zero_based(rels):
+    return [(tuple(x - 1 for x in lhs), tuple(x - 1 for x in rhs))
+            for lhs, rhs in rels]
+
+
+@pytest.mark.parametrize("n,size", [(2, 2), (3, 6), (4, 23), (5, 103),
+                                    (6, 513), (7, 2761), (8, 15767)])
 def test_presentation_verification(n, size):
     report = dcm.verify_presentation(n)
     assert report.presented_size == size
     assert report.matches
-    assert report.stable
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_presentation_engines_agree(n):
-    assert dcm.verify_presentation(n, engine="dsu") == \
-        dcm.verify_presentation(n, engine="numpy")
-
-
-def test_word_guard():
-    with pytest.raises(dcm.WordGuardExceeded):
-        dcm.verify_presentation(4, word_guard=100)
-
-
-@pytest.mark.skipif(not os.environ.get("CATKIT_PRESENTATION_N5"),
-                    reason="degree-5 presentation check is opt-in; "
-                           "set CATKIT_PRESENTATION_N5=1")
 def test_presentation_degree_five():
-    report = dcm.verify_presentation(5, word_guard=1 << 28)
-    assert report.presented_size == 103
-    assert report.matches
-    assert report.stable
+    """Read in the matrix generators, the presented table is DC_5 itself."""
+    table = enumerate_presentation(4, _zero_based(
+        dcm.presentation_relations(5)))
+    gens = dcm.generators(5)
+    images = []
+    for word in table.words:
+        x = bm.identity_mat(5)
+        for g in word:
+            x = bm.mul(x, gens[g])
+        images.append(x)
+    assert len(set(images)) == len(images) == 103
+    assert set(images) == set(dcm.dc_monoid(5).elements)
+    for i, row in enumerate(table.right):
+        for g, j in enumerate(row):
+            assert images[j] == bm.mul(images[i], gens[g])
+
+
+@pytest.mark.parametrize("n,size", [(2, 2), (3, 6), (4, 24), (5, 120)])
+def test_without_long_relation_presents_hecke(n, size):
+    rels = [r for r in dcm.presentation_relations(n) if len(r[0]) != 5]
+    table = enumerate_presentation(n - 1, _zero_based(rels))
+    assert len(table) == size
+    assert generators_match(table, hecke.hecke_monoid(n))
+    # from degree 4 on the long relation is needed to present DC_n
+    assert generators_match(table, dcm.dc_monoid(n)) == (n < 4)
+
+
+def test_without_idempotency_the_enumeration_hits_the_cap():
+    rels = [r for r in dcm.presentation_relations(4) if len(r[1]) != 1]
+    with pytest.raises(MonoidCapExceeded):
+        enumerate_presentation(3, _zero_based(rels), cap=1000)

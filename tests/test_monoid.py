@@ -3,8 +3,8 @@ import pytest
 from catkit import boolmat as bm
 from catkit import dcm
 from catkit import permutations as pm
-from catkit.monoid import (MonoidCapExceeded, generate_monoid,
-                           generators_match)
+from catkit.monoid import (MonoidCapExceeded, enumerate_presentation,
+                           generate_monoid, generators_match)
 
 
 def catalan_table(n):
@@ -69,6 +69,20 @@ def test_left_table():
 def test_cap_exceeded():
     with pytest.raises(MonoidCapExceeded):
         generate_monoid(dcm.generators(5), bm.mul, bm.identity_mat(5), cap=10)
+
+
+def test_enumerate_cyclic_monoid():
+    # x^5 = x^2: index 2, period 3
+    table = enumerate_presentation(1, [((0,) * 5, (0, 0))])
+    assert table.words == [(), (0,), (0, 0), (0, 0, 0), (0, 0, 0, 0)]
+    assert table.right[4] == [2]
+
+
+def test_enumerate_with_empty_side():
+    # the first letter is the identity, the second an idempotent
+    table = enumerate_presentation(2, [((0,), ()), ((1, 1), (1,))])
+    assert table.gens == (0, 1)
+    assert table.words == [(), (1,)]
 
 
 def test_hecke_is_j_trivial():
