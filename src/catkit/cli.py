@@ -49,23 +49,64 @@ def _perm_strs(perms) -> list[str]:
     return sorted(pm.format_perm(w) for w in perms)
 
 
-def _parse_perms(*texts: str | None) -> list[pm.Perm]:
-    """Parse permutations given on the command line, all of one degree."""
-    perms = []
+def _parse_tuples(texts, is_valid, what: str) -> list[tuple]:
+    """Parse value tuples given on the command line, all of one degree."""
+    values = []
     for text in texts:
         if text is None:
-            raise SystemExit("a permutation argument is required")
+            raise SystemExit(f"a {what} argument is required")
         try:
             w = pm.parse_perm(text)
         except ValueError:
             w = None
-        if w is None or not pm.is_permutation(w):
-            raise SystemExit(f"not a permutation: {text!r}")
-        perms.append(w)
-    if len({len(w) for w in perms}) > 1:
-        raise SystemExit("permutations of different degrees: "
+        if w is None or not is_valid(w):
+            raise SystemExit(f"not a {what}: {text!r}")
+        values.append(w)
+    if len({len(w) for w in values}) > 1:
+        raise SystemExit(f"{what}s of different degrees: " + " ".join(texts))
+    return values
+
+
+def _parse_perms(*texts: str | None) -> list[pm.Perm]:
+    return _parse_tuples(texts, pm.is_permutation, "permutation")
+
+
+def _parse_maps(*texts: str) -> list[pm.MonotoneMap]:
+    return _parse_tuples(texts, pm.is_nondecreasing_map, "non-decreasing map")
+
+
+def _parse_paths(*texts: str) -> list[str]:
+    """Dyck paths given on the command line, all of one semilength."""
+    for text in texts:
+        if not dyck.is_dyck_path(text):
+            raise SystemExit(f"not a Dyck path: {text!r}")
+    if len({len(t) for t in texts}) > 1:
+        raise SystemExit("Dyck paths of different semilengths: "
                          + " ".join(texts))
-    return perms
+    return list(texts)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin over the primes up to 37, exact for n below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or n in bases:
+        return n in bases
+    if any(n % b == 0 for b in bases):
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _cmd_hecke(args) -> int:
@@ -97,10 +138,17 @@ def _cmd_dcm(args) -> int:
         (w,) = _parse_perms(args.argument)
         _emit({"matrix": bm.to_row_strings(dcm.dc_of_perm(w))}, args)
     elif action == "fiber":
-        x = bm.parse_matrix(args.argument)
+        if args.argument is None:
+            raise SystemExit("a matrix argument is required")
+        try:
+            x = bm.parse_matrix(args.argument)
+            members = dcm.fiber(x)
+        except ValueError:
+            raise SystemExit("not a matrix of the double Catalan monoid: "
+                             f"{args.argument!r}") from None
         report = dcm.fiber_analysis(x)
         _emit({
-            "fiber": _perm_strs(dcm.fiber(x)),
+            "fiber": _perm_strs(members),
             "tau": pm.format_perm(report.tau),
             "maximal": _perm_strs(report.maximal),
             "convex": report.convex,
@@ -129,19 +177,24 @@ def _cmd_dcm(args) -> int:
 
 def _cmd_dyck(args) -> int:
     action = args.action
+    arity = 2 if action in ("admissible", "prec") else 1
+    if len(args.args) != arity:
+        raise SystemExit(f"dyck {action} takes {arity} argument(s)")
     if action == "derivative":
-        _emit({"derivative": dyck.kreweras_derivative(args.args[0])}, args)
+        (path,) = _parse_paths(*args.args)
+        _emit({"derivative": dyck.kreweras_derivative(path)}, args)
     elif action == "admissible":
-        p1, p2 = args.args
+        p1, p2 = _parse_paths(*args.args)
         _emit({"admissible": dyck.is_admissible(p1, p2)}, args)
     elif action == "prec":
-        a, b = (pm.parse_perm(t) for t in args.args)
+        a, b = _parse_maps(*args.args)
         _emit({"leq": dyck.factor_order_leq(a, b)}, args)
     elif action == "path":
-        alpha = pm.parse_perm(args.args[0])
+        (alpha,) = _parse_maps(*args.args)
         _emit({"path": dyck.map_to_path(alpha)}, args)
     elif action == "map":
-        _emit({"map": pm.format_perm(dyck.path_to_map(args.args[0]))}, args)
+        (path,) = _parse_paths(*args.args)
+        _emit({"map": pm.format_perm(dyck.path_to_map(path))}, args)
     else:
         raise SystemExit(f"unknown dyck action {action!r}")
     return 0
@@ -209,21 +262,10 @@ def _cmd_repmin(args) -> int:
         name = args.type
         if args.n and len(name) == 1:
             name = f"{name}{args.n}"
+        if args.mod is not None and not _is_prime(args.mod):
+            raise SystemExit(f"--mod needs a prime, got {args.mod}")
         sys_ = cx.from_type_string(name)
-        report = rm.min_dim_report(sys_, p=args.mod)
-        socles = {}
-        for s in range(sys_.rank):
-            check = rm.simple_socle_check(sys_, s, p=args.mod)
-            socles[f"s{s + 1}"] = {
-                "dimension": check["dimension"],
-                "type": [f"s{t + 1}" for t in check["type"]],
-                "ok": check["ok"],
-                "basis": [[str(x) for x in vec]
-                          for vecs in check["report"].values()
-                          for vec in vecs],
-            }
-        report["socles"] = socles
-        _emit(report, args)
+        _emit(rm.min_dim_report(sys_, p=args.mod), args)
         return 0
     raise SystemExit("need --type or --dc")
 
@@ -339,7 +381,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (as `| head` does): stop quietly, and
+        # point stdout at devnull so the final flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -283,8 +283,9 @@ def parabolic(sys: CoxeterSystem, J: frozenset[int] | set[int]) -> Parabolic:
         frontier = nxt
     member_tuple = tuple(sorted(members))
     longest = max(member_tuple, key=lambda i: sys.length[i])
+    length, right = sys.length, sys.right
     max_reps = tuple(i for i in range(sys.order)
-                     if sys.right_descents(i) >= J)
+                     if all(length[right[i][s]] < length[i] for s in J))
     if len(max_reps) * len(member_tuple) != sys.order:
         raise RuntimeError("coset representative count inconsistent")
     return Parabolic(J=J, members=member_tuple, longest=longest,

@@ -9,11 +9,14 @@ longest element has been projected away).  Dropping the one-dimensional
 span of the longest element leaves the interesting summand, whose socle is
 one-dimensional.
 
-All eigenspace and socle computations run over the rationals via
-fraction-free (Bareiss) elimination with deterministic pivoting, so reports
-are reproducible; an optional prime modulus reruns the same elimination in
-characteristic p as a spot check (the action matrices are 0/1, so the
-answers are characteristic-free).
+All eigenspace and socle computations run over the rationals by a sparse
+integer elimination: zero and repeated rows are dropped, only the rows
+with a nonzero entry in the pivot column are reduced, and each reduced row
+is divided by the gcd of its entries.  Nullspaces come out in a canonical
+basis that depends only on the row space, so reports are reproducible; an
+optional prime modulus reruns the same elimination in characteristic p as
+a spot check (the action matrices are 0/1, so the answers are
+characteristic-free).
 
 Effectiveness checks multiply column maps along reduced words, caching one
 matrix per group element by dynamic programming over the element table.
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from . import coxeter as cx
@@ -172,99 +175,105 @@ def _unit(n: int, j: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free elimination, nullspaces, socles.
+# Sparse elimination, nullspaces, socles.
 
-def _echelon(rows: list[list], p: int | None) -> tuple[list[list], list[int]]:
-    """Row echelon form with pivots at (first nonzero column, smallest row).
+def _echelon(rows: list[list], p: int | None) -> tuple[list[dict], list[int]]:
+    """Row echelon form as sparse rows, pivots increasing.
 
-    Over the integers this is Bareiss fraction-free elimination; with a
-    prime modulus the same sweep runs in GF(p).
+    Zero rows and repeated rows are dropped first, which leaves the row
+    space unchanged.  The rest are kept as dicts (column to nonzero entry)
+    in buckets by leading column.  Column by column, the first row of the
+    bucket becomes the pivot row; only the other rows of that bucket, the
+    ones with a nonzero entry in the pivot column, are reduced against it
+    and moved to the bucket of their new leading column, or dropped once
+    zero.  Over the rationals each reduced row is divided by the gcd of its
+    entries, so it stays primitive; with a prime modulus p each pivot row
+    is scaled to a leading 1 and the arithmetic runs in GF(p).
     """
-    m = [list(row) for row in rows]
-    if p is not None:
-        m = [[x % p for x in row] for row in m]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    prev_pivot = 1
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != r:
-            m[r], m[sel] = m[sel], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, nrows):
-            factor = m[i][c]
+    if p is not None and p < 2:
+        raise ValueError(f"modulus must be a prime, got {p}")
+    buckets: dict[int, list[dict]] = {}
+    for row in dict.fromkeys(map(tuple, rows)):
+        if p is None:
+            sparse = {c: x for c, x in enumerate(row) if x}
+        else:
+            sparse = {c: x % p for c, x in enumerate(row) if x % p}
+        if sparse:
+            buckets.setdefault(min(sparse), []).append(sparse)
+    ech: list[dict] = []
+    pivots: list[int] = []
+    while buckets:
+        c = min(buckets)
+        pivot_row, *others = buckets.pop(c)
+        a = pivot_row[c]
+        if p is not None and a != 1:
+            inv = pow(a, -1, p)
+            pivot_row = {k: x * inv % p for k, x in pivot_row.items()}
+            a = 1
+        for row in others:
+            b = row[c]
+            new = row if a == 1 else {k: a * x for k, x in row.items()}
+            for k, y in pivot_row.items():
+                x = new.get(k, 0) - b * y
+                if p is not None:
+                    x %= p
+                if x:
+                    new[k] = x
+                else:
+                    del new[k]
+            if not new:
+                continue
             if p is None:
-                for jc in range(c, ncols):
-                    m[i][jc] = (pivot * m[i][jc] - factor * m[r][jc]) // prev_pivot
-            else:
-                inv = pow(pivot, -1, p)
-                coef = factor * inv % p
-                for jc in range(c, ncols):
-                    m[i][jc] = (m[i][jc] - coef * m[r][jc]) % p
-        prev_pivot = pivot if p is None else 1
+                g = gcd(*new.values())
+                if g > 1:
+                    new = {k: x // g for k, x in new.items()}
+            buckets.setdefault(min(new), []).append(new)
+        ech.append(pivot_row)
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
+    return ech, pivots
 
 
 def matrix_rank(rows: list[list], p: int | None = None) -> int:
-    if not rows:
-        return 0
-    _, pivots = _echelon(rows, p)
-    return len(pivots)
+    return len(_echelon(rows, p)[1])
 
 
 def nullspace(rows: list[list], ncols: int, p: int | None = None) -> list[list]:
     """Canonical nullspace basis, one vector per free column.
 
-    Over the rationals each vector is scaled to primitive integers with a
-    positive leading entry; in characteristic p entries are reduced mod p.
+    The vector of a free column is 1 there and 0 on the other free columns.
+    Over the rationals it is scaled to primitive integers with a positive
+    leading entry; in characteristic p entries are reduced mod p.  The
+    basis depends only on the row space:
+
+    >>> nullspace([[2, 4, -6], [-1, -2, 3]], 3)
+    [[2, -1, 0], [3, 0, 1]]
+    >>> nullspace([[2, 4, -6], [-1, -2, 3]], 3, p=5)
+    [[3, 1, 0], [3, 0, 1]]
     """
-    if not rows:
-        rows = [[0] * ncols]
     ech, pivots = _echelon(rows, p)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free_cols:
-        v: list = [Fraction(0)] * ncols if p is None else [0] * ncols
-        v[fc] = Fraction(1) if p is None else 1
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            if p is None:
-                s = sum(Fraction(ech[r][c]) * v[c]
-                        for c in range(pc + 1, ncols) if v[c])
-                v[pc] = -s / ech[r][pc]
-            else:
-                s = sum(ech[r][c] * v[c] for c in range(pc + 1, ncols)) % p
-                v[pc] = (-s * pow(ech[r][pc], -1, p)) % p
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v: dict = {fc: 1}
+        for row, pc in zip(reversed(ech), reversed(pivots)):
+            s = sum(x * v[k] for k, x in row.items() if k in v)
+            if p is not None:
+                s %= p
+            if s:
+                # mod p the pivot rows lead with 1
+                v[pc] = Fraction(-s, row[pc]) if p is None else p - s
         if p is None:
-            denom_lcm = 1
-            for x in v:
-                denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm,
-                                                             x.denominator)
-            ints = [int(x * denom_lcm) for x in v]
-            g = 0
-            for x in ints:
-                g = gcd(g, abs(x))
-            if g > 1:
-                ints = [x // g for x in ints]
-            lead = next((x for x in ints if x != 0), 1)
-            if lead < 0:
-                ints = [-x for x in ints]
-            basis.append(ints)
-        else:
-            basis.append(v)
+            scale = 1
+            for x in v.values():
+                scale = lcm(scale, Fraction(x).denominator)
+            ints = {k: int(x * scale) for k, x in v.items()}
+            g = gcd(*ints.values())
+            if ints[min(ints)] < 0:
+                g = -g
+            v = {k: x // g for k, x in ints.items()}
+        basis.append([v.get(k, 0) for k in range(ncols)])
     return basis
 
 
@@ -278,11 +287,11 @@ def socle(module: HeckeModule, p: int | None = None) -> SocleReport:
     sys = module.sys
     d = module.dim
     report: SocleReport = {}
+    mats = [module.matrix(t) for t in range(sys.rank)]
     for mask in range(1 << sys.rank):
         J = frozenset(s for s in range(sys.rank) if mask >> s & 1)
         rows = []
-        for t in range(sys.rank):
-            mat = module.matrix(t)
+        for t, mat in enumerate(mats):
             for i in range(d):
                 row = list(mat[i])
                 if t in J:
@@ -324,7 +333,8 @@ def simple_socle_check(sys: CoxeterSystem, s: int,
     """Verify the reduced projective of s has the predicted simple socle.
 
     Expected: one-dimensional, spanned by (longest * s) - longest, of type
-    indexed by the complement of the conjugated generator.
+    indexed by the complement of the conjugated generator.  The reduced
+    projective itself is returned under "module".
     """
     reduced, _ = drop_trivial_summand(projective_module(sys, s))
     report = socle(reduced, p)
@@ -346,6 +356,7 @@ def simple_socle_check(sys: CoxeterSystem, s: int,
         "vector_label": w0s,
         "ok": bool(ok),
         "report": report,
+        "module": reduced,
     }
 
 
@@ -354,14 +365,21 @@ def min_dim_report(sys: CoxeterSystem, p: int | None = None) -> dict:
 
     claimed: vertex count minus rank; the construction must hit exactly
     that dimension, act effectively, and have all the predicted socles.
+    "socles" holds each generator's socle check, with its basis vectors.
     """
     reduced_modules = []
-    socle_ok = True
+    socles = {}
     for s in range(sys.rank):
         check = simple_socle_check(sys, s, p)
-        socle_ok = socle_ok and check["ok"]
-        reduced_modules.append(
-            drop_trivial_summand(projective_module(sys, s))[0])
+        reduced_modules.append(check["module"])
+        socles[f"s{s + 1}"] = {
+            "dimension": check["dimension"],
+            "type": [f"s{t + 1}" for t in check["type"]],
+            "ok": check["ok"],
+            "basis": [[str(x) for x in vec]
+                      for vecs in check["report"].values()
+                      for vec in vecs],
+        }
     total = direct_sum(reduced_modules)
     claimed = cx.vertex_count(sys) - sys.rank
     return {
@@ -369,7 +387,8 @@ def min_dim_report(sys: CoxeterSystem, p: int | None = None) -> dict:
         "claimed": claimed,
         "constructed_dim": total.dim,
         "effective": is_effective(sys, total),
-        "socle_verified": socle_ok,
+        "socle_verified": all(c["ok"] for c in socles.values()),
+        "socles": socles,
     }
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from catkit.cli import main
+import catkit
+from catkit.cli import _is_prime, main
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +56,61 @@ def test_bad_permutations_exit_with_a_message(capsys, argv):
         main(argv)
     assert "permutation" in str(exc.value)
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["dcm", "fiber", "10,01,11"], "matrix"),
+    (["dcm", "fiber", "110,111,011"], "matrix"),
+    (["dcm", "fiber"], "matrix"),
+    (["dyck", "derivative", "UUD"], "Dyck path"),
+    (["dyck", "derivative", "UD", "UD"], "argument"),
+    (["dyck", "admissible", "UD"], "argument"),
+    (["dyck", "admissible", "UD", "UUDD"], "semilength"),
+    (["dyck", "map", "UDU"], "Dyck path"),
+    (["dyck", "prec", "1224", "333"], "non-decreasing map"),
+    (["dyck", "prec", "123", "12x"], "non-decreasing map"),
+    (["dyck", "prec", "123", "22"], "different degrees"),
+    (["dyck", "path", "321"], "non-decreasing map"),
+])
+def test_bad_matrices_paths_and_maps_exit_with_a_message(capsys, argv,
+                                                          message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert message in str(exc.value)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("mod", ["0", "1", "4", "-3", "91"])
+def test_repmin_mod_must_be_prime(capsys, mod):
+    with pytest.raises(SystemExit) as exc:
+        main(["repmin", "--type", "A3", "--mod", mod])
+    assert "prime" in str(exc.value)
+    assert capsys.readouterr().out == ""
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(-2, 3000) if _is_prime(n)] == \
+        [n for n in range(-2, 3000) if trial(n)]
+    assert _is_prime(2 ** 61 - 1)
+    assert not _is_prime(3825123056546413051)  # strong pseudoprime to 2..23
+
+
+def test_closed_stdout_ends_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(catkit.__file__).resolve().parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "catkit.cli", "repmin", "--type", "B2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
 
 
 def test_dcm_fiber(capsys):
@@ -112,6 +172,8 @@ def test_repmin_report(capsys):
     assert res["claimed"] == res["constructed_dim"] == 11
     assert res["effective"] and res["socle_verified"]
     assert set(res["socles"]) == {"s1", "s2", "s3"}
+    _, report = run_cli(capsys, "repmin", "--type", "A3", "--mod", "5")
+    assert report["result"]["socle_verified"]
 
 
 def test_repmin_dc(capsys):

@@ -1,4 +1,9 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catkit import coxeter as cx
 from catkit import repmin as rm
@@ -90,6 +95,80 @@ def test_nullspace_exactness():
     assert len(basis_p) == 2
 
 
+def _reference_nullspace(rows, ncols, p):
+    """Reduced row echelon form by Fractions (or GF(p)), then the canonical
+    basis: 1 at a free column, 0 at the others, primitive over Q."""
+    if p is None:
+        m = [[Fraction(x) for x in row] for row in rows]
+    else:
+        m = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        inv = 1 / m[r][c] if p is None else pow(m[r][c], -1, p)
+        m[r] = [x * inv if p is None else x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y if p is None else (x - f * y) % p
+                        for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc] if p is None else -m[r][fc] % p
+        if p is None:
+            scale = 1
+            for x in v:
+                scale = scale * Fraction(x).denominator // gcd(
+                    scale, Fraction(x).denominator)
+            v = [int(x * scale) for x in v]
+            g = gcd(*v)
+            if next(x for x in v if x) < 0:
+                g = -g
+            v = [x // g for x in v]
+        basis.append(v)
+    return len(pivots), basis
+
+
+@st.composite
+def _matrices(draw):
+    """Rows drawn from a few distinct ones, so zero rows, repeated rows,
+    negative entries and entries outside {0, 1, -1} all occur."""
+    ncols = draw(st.integers(1, 7))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -5, 7, 12])
+    distinct = draw(st.lists(st.lists(entry, min_size=ncols,
+                                      max_size=ncols), min_size=1,
+                             max_size=6))
+    distinct.append([0] * ncols)
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=12))
+    return ncols, [list(distinct[i]) for i in picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices(), st.sampled_from([None, 2, 3, 5, 7]))
+def test_elimination_matches_reference_rref(matrix, p):
+    ncols, rows = matrix
+    rank, basis = _reference_nullspace(rows, ncols, p)
+    assert rm.nullspace(rows, ncols, p) == basis
+    assert rm.matrix_rank(rows, p) == rank
+    assert rank + len(basis) == ncols
+
+
+@pytest.mark.parametrize("p", [0, 1, -3])
+def test_modulus_below_two_is_rejected(p):
+    with pytest.raises(ValueError):
+        rm.nullspace([[1, 2]], 2, p=p)
+    with pytest.raises(ValueError):
+        rm.matrix_rank([], p=p)
+
+
 def test_socle_of_reduced_projective_a2():
     a2 = cx.type_a(2)
     check = rm.simple_socle_check(a2, 0)
@@ -147,6 +226,7 @@ def test_effectiveness():
     (lambda: cx.type_a(2), 4), (lambda: cx.type_a(3), 11),
     (lambda: cx.type_a(4), 26), (lambda: cx.type_b(2), 6),
     (lambda: cx.type_b(3), 23), (lambda: cx.dihedral(4), 6),
+    (lambda: cx.type_a(5), 57), (lambda: cx.type_a(6), 120),
 ])
 def test_min_dim_reports(make, expected):
     rep = rm.min_dim_report(make())
