@@ -26,9 +26,12 @@ from . import repmin as rm
 from . import verify
 
 
-def _env_cap(default: int = 1_000_000) -> int:
-    raw = os.environ.get("CATKIT_CAP")
-    return int(raw) if raw else default
+def _cap(args, default: int) -> int:
+    """--cap if given, else the CATKIT_CAP environment variable, else default."""
+    raw = str(args.cap or os.environ.get("CATKIT_CAP") or default)
+    if not raw.isdecimal():
+        raise SystemExit(f"a cap must be a whole number, got {raw!r}")
+    return int(raw)
 
 
 def _emit(payload: dict, args) -> None:
@@ -123,7 +126,14 @@ def _cmd_hecke(args) -> int:
         _emit({"idempotents": _perm_strs(hecke.idempotents(n))}, args)
     elif args.fold:
         i, text = args.fold
-        part = hecke.parse_partition(text)
+        try:
+            part = hecke.parse_partition(text)
+        except ValueError:
+            raise SystemExit(
+                f"not an ordered set partition: {text!r}") from None
+        top = sum(len(block) for block in part) - 1
+        if not (i.isdecimal() and 1 <= int(i) <= top):
+            raise SystemExit(f"--fold needs a value in 1..{top}, got {i!r}")
         _emit({"folded": hecke.format_partition(hecke.fold(int(i), part))},
               args)
     else:
@@ -134,6 +144,14 @@ def _cmd_hecke(args) -> int:
 def _cmd_dcm(args) -> int:
     n = args.n
     action = args.action
+    if action in ("count", "self-dual", "verify-presentation"):
+        if n is None:
+            raise SystemExit(f"{action} requires --n")
+        least = 2 if action == "verify-presentation" else 0
+        cap = (_cap(args, dcm.DEFAULT_DEGREE_CAP) if action == "count"
+               else dcm.DEFAULT_DEGREE_CAP)
+        if not least <= n <= cap:
+            raise SystemExit(f"{action} needs --n in {least}..{cap}, got {n}")
     if action == "psi":
         (w,) = _parse_perms(args.argument)
         _emit({"matrix": bm.to_row_strings(dcm.dc_of_perm(w))}, args)
@@ -154,19 +172,11 @@ def _cmd_dcm(args) -> int:
             "convex": report.convex,
         }, args)
     elif action == "count":
-        if n is None:
-            raise SystemExit("count requires --n")
-        cap = args.cap or int(os.environ.get("CATKIT_CAP",
-                                             dcm.DEFAULT_DEGREE_CAP))
         _emit({"size": len(dcm.dc_monoid(n, degree_cap=cap))}, args)
     elif action == "self-dual":
-        if n is None:
-            raise SystemExit("self-dual requires --n")
         _emit({"self_dual": dcm.self_dual_count(n),
                "motzkin": dcm.motzkin_number(n)}, args)
     elif action == "verify-presentation":
-        if n is None:
-            raise SystemExit("verify-presentation requires --n")
         report = dcm.verify_presentation(n)
         _emit({"presented_size": report.presented_size,
                "matches": report.matches}, args)
@@ -204,28 +214,38 @@ def _parse_J(text: str, sys_: cx.CoxeterSystem) -> frozenset[int]:
     if not text:
         return frozenset()
     out = set()
-    for token in text.split(","):
-        token = token.strip().lstrip("s")
+    for raw in text.split(","):
+        token = raw.strip().lstrip("s")
+        if not (token.isdecimal() and 1 <= int(token) <= sys_.rank):
+            raise SystemExit(f"--J needs generators s1..s{sys_.rank}, "
+                             f"got {raw!r}")
         out.add(int(token) - 1)
-    if any(not 0 <= s < sys_.rank for s in out):
-        raise SystemExit("generator index out of range in --J")
     return frozenset(out)
 
 
-def _build_system(args) -> cx.CoxeterSystem:
-    cap = args.cap if args.cap else _env_cap(10_000)
-    if args.type:
-        return cx.from_type_string(args.type, cap=cap)
-    if args.gens:
-        with open(args.gens) as fh:
-            gens = [tuple(int(v) for v in line.split())
+def _read_rows(path: str) -> list[list[int]]:
+    """The whitespace-separated integer rows of a file, blank lines skipped."""
+    try:
+        with open(path) as fh:
+            return [[int(v) for v in line.split()]
                     for line in fh if line.strip()]
-        matrix = None
-        if args.matrix:
-            with open(args.matrix) as fh:
-                matrix = [[int(v) for v in line.split()]
-                          for line in fh if line.strip()]
-        return cx.coxeter_system(gens, matrix, cap=cap, name="custom")
+    except OSError as err:
+        raise SystemExit(f"cannot read {path}: {err.strerror}") from None
+    except ValueError:
+        raise SystemExit(f"not rows of integers: {path}") from None
+
+
+def _build_system(args) -> cx.CoxeterSystem:
+    cap = _cap(args, 10_000)
+    try:
+        if args.type:
+            return cx.from_type_string(args.type, cap=cap)
+        if args.gens:
+            gens = [tuple(row) for row in _read_rows(args.gens)]
+            matrix = _read_rows(args.matrix) if args.matrix else None
+            return cx.coxeter_system(gens, matrix, cap=cap, name="custom")
+    except cx.CoxeterError as err:
+        raise SystemExit(str(err)) from None
     raise SystemExit("need --type or --gens")
 
 
@@ -255,16 +275,20 @@ def _cmd_coxeter(args) -> int:
 
 
 def _cmd_repmin(args) -> int:
-    if args.dc:
+    if args.dc is not None:
+        if args.dc < 2:
+            raise SystemExit(f"--dc must be at least 2, got {args.dc}")
         _emit(rm.dc_min_dim(args.dc), args)
         return 0
     if args.type:
-        name = args.type
-        if args.n and len(name) == 1:
-            name = f"{name}{args.n}"
         if args.mod is not None and not _is_prime(args.mod):
             raise SystemExit(f"--mod needs a prime, got {args.mod}")
-        sys_ = cx.from_type_string(name)
+        try:
+            sys_ = cx.from_type_string(args.type)
+        except cx.CoxeterError as err:
+            raise SystemExit(str(err)) from None
+        if sys_.rank == 0:
+            raise SystemExit(f"repmin needs a rank of at least 1: {args.type}")
         _emit(rm.min_dim_report(sys_, p=args.mod), args)
         return 0
     raise SystemExit("need --type or --dc")
@@ -287,16 +311,15 @@ def _cmd_verify_all(args) -> int:
 def _cmd_export(args) -> int:
     n = args.n
     if args.what == "dc":
+        if not 0 <= n <= dcm.DEFAULT_DEGREE_CAP:
+            raise SystemExit(f"--n must be in 0..{dcm.DEFAULT_DEGREE_CAP}")
         table = dcm.dc_monoid(n)
         labels = lambda x: "|".join(bm.to_row_strings(x))
     elif args.what == "hecke":
         table = hecke.hecke_monoid(n)
         labels = pm.format_perm
     elif args.what == "catalan":
-        gens = [pm.ltr_maxima(pm.simple_transposition(i, n))
-                for i in range(1, n)]
-        from .monoid import generate_monoid
-        table = generate_monoid(gens, pm.compose_map, pm.identity(n))
+        table = dcm.catalan_monoid(n)
         labels = pm.format_perm
     else:
         raise SystemExit(f"unknown export target {args.what!r}")
@@ -315,18 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--cap", type=int, default=None,
-                       help="degree cap (dcm count) or element cap (coxeter)")
-        p.add_argument("--seed", type=int, default=0)
-
     p = sub.add_parser("hecke", help="products, ideals, foldings")
     p.add_argument("--n", type=int)
     p.add_argument("--mul", nargs=2, metavar=("A", "B"))
     p.add_argument("--ideal", metavar="W")
     p.add_argument("--idempotents", action="store_true")
     p.add_argument("--fold", nargs=2, metavar=("I", "F"))
-    common(p)
     p.set_defaults(func=_cmd_hecke)
 
     p = sub.add_parser("dcm", help="double Catalan monoid")
@@ -334,14 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["psi", "fiber", "count", "self-dual",
                                       "verify-presentation"])
     p.add_argument("argument", nargs="?")
-    common(p)
+    p.add_argument("--cap", type=int, help="degree cap of dcm count")
     p.set_defaults(func=_cmd_dcm)
 
     p = sub.add_parser("dyck", help="Dyck path operations")
     p.add_argument("action", choices=["derivative", "admissible", "prec",
                                       "path", "map"])
     p.add_argument("args", nargs="+")
-    common(p)
     p.set_defaults(func=_cmd_dyck)
 
     p = sub.add_parser("coxeter", help="finite Coxeter systems and quotients")
@@ -351,22 +367,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quotient", choices=["catalan", "double"])
     p.add_argument("--J", help="comma-separated generator list, e.g. s1,s3")
     p.add_argument("--dot", action="store_true")
-    common(p)
+    p.add_argument("--cap", type=int, help="element cap of the group")
     p.set_defaults(func=_cmd_coxeter)
 
     p = sub.add_parser("repmin", help="effective representation dimensions")
     p.add_argument("--type", help="Coxeter type, e.g. A3 or B3")
-    p.add_argument("--n", type=int, help="rank when --type is a bare family")
     p.add_argument("--dc", type=int, metavar="N",
                    help="check the double Catalan module of degree N")
     p.add_argument("--mod", type=int, default=None,
                    help="rerun socles modulo a prime")
-    common(p)
     p.set_defaults(func=_cmd_repmin)
 
     p = sub.add_parser("verify-all", help="run every verification suite")
     p.add_argument("--n-max", type=int, default=4)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify_all)
 
     p = sub.add_parser("export", help="closure tables and Cayley graphs")
@@ -374,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dot", action="store_true")
-    common(p)
     p.set_defaults(func=_cmd_export)
     return parser
 

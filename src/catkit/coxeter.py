@@ -5,10 +5,10 @@ arithmetic and parabolic coset combinatorics built on top.
 A system is materialized from involutive generator permutations on a finite
 carrier set.  Built-in families: type A (rank k acting on k+1 points),
 type B (rank k on 2k signed points, the last generator flipping a sign) and
-the dihedral types (rank 2 on the vertices of a polygon).  Lengths come
-from breadth-first search of the right Cayley graph, which also hands every
-element a reduced word; descent sets, the longest element and its
-generator conjugation are read off the tables.
+the dihedral types (rank 2 on the vertices of a polygon).  generate_monoid
+closes the generators, numbering elements by length with shortest, hence
+reduced, words: lengths are word lengths and the longest element is the
+last one.  Descent sets and the conjugation by it are read off the tables.
 
 A parabolic subgroup here is always standard (generated by a subset J of
 the generators).  Each left coset has a unique longest representative,
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import boolmat as bm
-from .monoid import MonoidTable, generate_monoid
+from .monoid import MonoidCapExceeded, MonoidTable, generate_monoid
 
 CarrierPerm = tuple[int, ...]  # permutation of 0..m-1, value at index
 
@@ -43,7 +43,7 @@ def _perm_order(p: CarrierPerm, cap: int = 64) -> int:
         if cur == ident:
             return k
         cur = _compose(cur, p)
-    raise ValueError("permutation order exceeds cap")
+    raise CoxeterError(f"a product of two generators has order above {cap}")
 
 
 class CoxeterError(ValueError):
@@ -77,9 +77,8 @@ class CoxeterSystem:
 
     @property
     def longest(self) -> int:
-        """Index of the longest element (unique in a finite system)."""
-        top = max(range(self.order), key=lambda i: self.length[i])
-        return top
+        """Index of the longest element, the last in closure order."""
+        return self.order - 1
 
     def right_descents(self, i: int) -> frozenset[int]:
         return frozenset(s for s in range(self.rank)
@@ -132,42 +131,19 @@ def coxeter_system(gen_perms: list[CarrierPerm],
                 f"got orders {orders}")
     matrix_t = tuple(tuple(row) for row in orders)
 
-    ident = tuple(range(carrier))
-    elements = [ident]
-    index = {ident: 0}
-    length = [0]
-    words: list[tuple[int, ...]] = [()]
-    right: list[list[int]] = []
-    pos = 0
-    while pos < len(elements):
-        x = elements[pos]
-        row = []
-        for s, g in enumerate(gens):
-            y = _compose(x, g)
-            j = index.get(y)
-            if j is None:
-                j = len(elements)
-                if j >= cap:
-                    raise CoxeterError(f"group exceeds element cap {cap}")
-                index[y] = j
-                elements.append(y)
-                length.append(length[pos] + 1)
-                words.append(words[pos] + (s,))
-            row.append(j)
-        right.append(row)
-        pos += 1
-    left = [[index[_compose(g, x)] for g in gens] for x in elements]
-
-    sys = CoxeterSystem(name=name, gen_perms=gens, matrix=matrix_t,
-                        elements=tuple(elements), index=index,
-                        length=tuple(length), words=tuple(words),
-                        right=tuple(tuple(row) for row in right),
-                        left=tuple(tuple(row) for row in left))
-    top = sys.longest
-    if sum(1 for i in range(sys.order)
-           if sys.length[i] == sys.length[top]) != 1:
+    try:
+        table = generate_monoid(gens, _compose, tuple(range(carrier)), cap)
+    except MonoidCapExceeded:
+        raise CoxeterError(f"group exceeds element cap {cap}") from None
+    length = tuple(len(w) for w in table.words)  # closure words are reduced
+    if len(length) > 1 and length[-1] == length[-2]:
         raise CoxeterError("longest element is not unique; group not Coxeter?")
-    return sys
+    left = [[table.index[_compose(g, x)] for g in gens] for x in table.elements]
+    return CoxeterSystem(name=name, gen_perms=gens, matrix=matrix_t,
+                         elements=tuple(table.elements), index=table.index,
+                         length=length, words=tuple(table.words),
+                         right=tuple(tuple(row) for row in table.right),
+                         left=tuple(tuple(row) for row in left))
 
 
 def type_a(rank: int, cap: int = 10_000) -> CoxeterSystem:
@@ -183,6 +159,8 @@ def type_a(rank: int, cap: int = 10_000) -> CoxeterSystem:
 
 def type_b(rank: int, cap: int = 10_000) -> CoxeterSystem:
     """Hyperoctahedral group on 2*rank signed points; order 2^rank * rank!."""
+    if rank < 1:
+        raise CoxeterError("type B needs rank at least 1")
     m = 2 * rank
     gens = []
     for i in range(rank - 1):
@@ -210,14 +188,13 @@ def from_type_string(text: str, cap: int = 10_000) -> CoxeterSystem:
     """Parse "A4", "B3", "I2:6" or "I2(6)" into a built system."""
     text = text.strip()
     if text.startswith("I2"):
-        token = text[2:].lstrip(":(").rstrip(")")
-        return dihedral(int(token), cap=cap)
-    family, value = text[0].upper(), int(text[1:])
-    if family == "A":
-        return type_a(value, cap=cap)
-    if family == "B":
-        return type_b(value, cap=cap)
-    raise CoxeterError(f"unknown type string {text!r}")
+        family, token = "I2", text[2:].lstrip(":(").rstrip(")")
+    else:
+        family, token = text[:1].upper(), text[1:]
+    build = {"A": type_a, "B": type_b, "I2": dihedral}.get(family)
+    if build is None or not token.isdecimal():
+        raise CoxeterError(f"unknown type string {text!r}")
+    return build(int(token), cap=cap)
 
 
 # ---------------------------------------------------------------------------

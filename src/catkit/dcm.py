@@ -83,6 +83,17 @@ def dc_monoid(n: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> MonoidTable:
     return generate_monoid(generators(n), bm.mul, bm.identity_mat(n))
 
 
+def catalan_monoid(n: int) -> MonoidTable:
+    """Closure table of the Catalan monoid of degree n: the non-decreasing
+    maps generated by the prefix maxima of the simple transpositions.
+
+    >>> len(catalan_monoid(4))
+    14
+    """
+    gens = [pm.ltr_maxima(pm.simple_transposition(i, n)) for i in range(1, n)]
+    return generate_monoid(gens, pm.compose_map, pm.identity(n))
+
+
 @lru_cache(maxsize=None)
 def projection_fibers(n: int) -> dict[BoolMat, tuple[Perm, ...]]:
     """All fibers of the projection, by exhaustive scan of S_n."""
@@ -111,6 +122,13 @@ class FiberReport:
     convex: bool
 
 
+def _bruhat_maximal(members: tuple[Perm, ...]) -> frozenset[Perm]:
+    """The members below no other member in the Bruhat order."""
+    return frozenset(
+        w for w in members
+        if not any(v != w and pm.bruhat_leq(w, v) for v in members))
+
+
 def fiber_analysis(x: BoolMat) -> FiberReport:
     """Structure of one projection fiber; uniqueness failures raise."""
     members = fiber(x)
@@ -122,9 +140,7 @@ def fiber_analysis(x: BoolMat) -> FiberReport:
     if not all(pm.bruhat_leq(tau, w) for w in members):
         raise InternalInconsistency("4321-avoiding member is not the minimum")
     member_set = set(members)
-    maximal = frozenset(
-        w for w in members
-        if not any(v != w and pm.bruhat_leq(w, v) for v in member_set))
+    maximal = _bruhat_maximal(members)
     if maximal != frozenset(w for w in members if pm.avoids(w, _P4231)):
         raise InternalInconsistency(
             "maximal members are not exactly the 4231-avoiding ones")
@@ -147,11 +163,7 @@ def first_multimaximal_fiber(n: int) -> tuple[BoolMat, frozenset[Perm]] | None:
     table = dc_monoid(n)
     fibers = projection_fibers(n)
     for x in table.elements:
-        members = fibers[x]
-        member_set = set(members)
-        maximal = frozenset(
-            w for w in members
-            if not any(v != w and pm.bruhat_leq(w, v) for v in member_set))
+        maximal = _bruhat_maximal(fibers[x])
         if len(maximal) > 1:
             return x, maximal
     return None

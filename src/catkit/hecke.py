@@ -88,10 +88,10 @@ def idempotents(n: int) -> list[Perm]:
     return [w for w in pm.all_perms(n) if mul(w, w) == w]
 
 
-def hecke_monoid(n: int, cap: int | None = None) -> MonoidTable:
+def hecke_monoid(n: int) -> MonoidTable:
     """The full 0-Hecke monoid of degree n as a closure table (size n!)."""
     gens = [pm.simple_transposition(i, n) for i in range(1, n)]
-    return generate_monoid(gens, mul, pm.identity(n), cap=cap)
+    return generate_monoid(gens, mul, pm.identity(n))
 
 
 # ---------------------------------------------------------------------------

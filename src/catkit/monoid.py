@@ -23,6 +23,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, Sequence
 
 
+MAX_PRODUCT_TABLE = 2000  # largest table whose JSON carries all products
+
+
 class MonoidCapExceeded(RuntimeError):
     """Raised when closure discovers more elements than the configured cap."""
 
@@ -86,8 +89,7 @@ class MonoidTable:
     def idempotent_indices(self) -> list[int]:
         return [i for i in range(len(self)) if self.product(i, i) == i]
 
-    def to_json_dict(self, element_repr: Callable = str,
-                     max_product_table: int = 2000) -> dict:
+    def to_json_dict(self, element_repr: Callable = str) -> dict:
         data = {
             "size": len(self),
             "generators": list(self.gens),
@@ -96,7 +98,7 @@ class MonoidTable:
             "right_cayley": [list(row) for row in self.right],
             "product_table": None,
         }
-        if len(self) <= max_product_table:
+        if len(self) <= MAX_PRODUCT_TABLE:
             data["product_table"] = self.product_table()
         return data
 

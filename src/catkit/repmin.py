@@ -311,14 +311,14 @@ def socle_dimension(report: SocleReport) -> int:
 # Element matrices and effectiveness.
 
 def element_column_maps(sys: CoxeterSystem, module: HeckeModule) -> list[ColumnMap]:
-    """Column map of every 0-Hecke element, by DP along the element table."""
+    """Column map of every 0-Hecke element, by DP along the element table:
+    element i is its parent times s, the last letter of its word, and the
+    generators are involutions, so the parent is element i times s."""
     ident = tuple(range(module.dim))
     maps: list[ColumnMap] = [ident] * sys.order
     for i in range(1, sys.order):
-        word = sys.words[i]
-        parent = sys.index[cx._compose(sys.elements[i],
-                                       sys.gen_perms[word[-1]])]
-        maps[i] = _compose_colmap(maps[parent], module.action[word[-1]])
+        s = sys.words[i][-1]
+        maps[i] = _compose_colmap(maps[sys.right[i][s]], module.action[s])
     return maps
 
 

@@ -10,6 +10,12 @@ import catkit
 from catkit.cli import _is_prime, main
 
 
+def _cli_env():
+    """The environment for running catkit.cli in a child interpreter."""
+    return {**os.environ,
+            "PYTHONPATH": str(Path(catkit.__file__).resolve().parents[1])}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -80,6 +86,94 @@ def test_bad_matrices_paths_and_maps_exit_with_a_message(capsys, argv,
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["coxeter", "--type", "C3"],
+    ["coxeter", "--type", "I2:70"],
+    ["coxeter", "--type", "A7"],
+    ["coxeter", "--type", "A3", "--quotient", "double", "--J", "x"],
+    ["coxeter", "--type", "A3", "--quotient", "catalan", "--J", "s4"],
+    ["coxeter", "--gens", "/nonexistent/gens.txt"],
+    ["repmin", "--type", "A"],
+    ["repmin", "--type", "A0"],
+    ["repmin", "--type", "I2:1"],
+    ["repmin", "--dc", "1"],
+    ["hecke", "--fold", "1", "xx"],
+    ["hecke", "--fold", "4", "({1,3},{2,4})"],
+    ["dcm", "--n", "9", "count"],
+    ["dcm", "--n", "6", "count", "--cap", "5"],
+    ["dcm", "--n", "-1", "count"],
+    ["dcm", "--n", "9", "self-dual"],
+    ["dcm", "--n", "1", "verify-presentation"],
+    ["export", "--what", "dc", "--n", "9"],
+])
+def test_bad_input_ends_in_a_one_line_message(capsys, monkeypatch, argv):
+    monkeypatch.delenv("CATKIT_CAP", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = exc.value.code
+    assert isinstance(message, str)  # printed to stderr, exit status 1
+    assert message and "\n" not in message
+    assert capsys.readouterr().out == ""
+
+
+def test_bad_input_prints_no_traceback(tmp_path):
+    gens = tmp_path / "gens.txt"
+    gens.write_text("1 0 x\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "catkit.cli", "coxeter", "--gens", str(gens)],
+        capture_output=True, text=True, env=_cli_env(), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"not rows of integers: {gens}\n"
+
+
+@pytest.mark.parametrize("env,argv", [
+    ("5", ["dcm", "--n", "6", "count"]),
+    ("20", ["coxeter", "--type", "A3"]),  # 24 elements
+    ("x", ["coxeter", "--type", "A2"]),
+    ("-3", ["dcm", "--n", "2", "count"]),
+])
+def test_catkit_cap_bounds_dcm_count_and_coxeter(capsys, monkeypatch, env,
+                                                  argv):
+    monkeypatch.setenv("CATKIT_CAP", env)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert isinstance(exc.value.code, str)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["repmin", "--type", "A", "--n", "3"],
+    ["repmin", "--type", "A3", "--cap", "10"],
+    ["hecke", "--n", "4", "--idempotents", "--seed", "1"],
+    ["export", "--what", "hecke", "--n", "3", "--cap", "10"],
+    ["dyck", "map", "UD", "--seed", "1"],
+    ["dcm", "--n", "3", "count", "--seed", "1"],
+    ["coxeter", "--type", "A2", "--seed", "1"],
+])
+def test_options_nothing_reads_are_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hecke", "--n", "3", "--idempotents"],
+    ["dcm", "--n", "3", "count"],
+    ["dyck", "map", "UD"],
+    ["coxeter", "--type", "A2"],
+    ["repmin", "--type", "A2"],
+    ["verify-all", "--n-max", "1"],
+    ["export", "--what", "catalan", "--n", "3"],
+])
+def test_envelope_defaults_without_seed_or_cap(capsys, monkeypatch, argv):
+    monkeypatch.delenv("CATKIT_CAP", raising=False)
+    _, report = run_cli(capsys, *argv)
+    assert report["config"] == {"subcommand": argv[0], "seed": 0,
+                                "cap": None}
+
+
 @pytest.mark.parametrize("mod", ["0", "1", "4", "-3", "91"])
 def test_repmin_mod_must_be_prime(capsys, mod):
     with pytest.raises(SystemExit) as exc:
@@ -101,12 +195,11 @@ def test_is_prime_matches_trial_division():
 def test_closed_stdout_ends_quietly():
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = {**os.environ,
-           "PYTHONPATH": str(Path(catkit.__file__).resolve().parents[1])}
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "catkit.cli", "repmin", "--type", "B2"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+            stdout=write_end, stderr=subprocess.PIPE, env=_cli_env(),
+            timeout=60)
     finally:
         os.close(write_end)
     assert proc.stderr == b""

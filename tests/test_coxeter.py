@@ -24,6 +24,21 @@ def test_orders_and_longest(build, order, top_len):
     assert sys.right_descents(w0) == frozenset(range(sys.rank))
 
 
+@pytest.mark.parametrize("type_string", [
+    "A1", "A2", "A3", "A4", "B2", "B3", "I2:3", "I2:4", "I2:5", "I2:6"])
+def test_closure_built_tables(type_string):
+    sys = cx.from_type_string(type_string)
+    assert all(sys.length[i] == len(sys.words[i]) for i in range(sys.order))
+    top = max(sys.length)
+    assert sys.longest == sys.order - 1
+    assert [i for i in range(sys.order) if sys.length[i] == top] == [
+        sys.longest]
+    assert sys.longest == max(range(sys.order), key=lambda i: sys.length[i])
+    for i in range(1, sys.order):
+        word = sys.words[i]
+        assert sys.words[sys.right[i][word[-1]]] == word[:-1]
+
+
 def test_dihedral_is_b2():
     assert generators_match_orders(cx.dihedral(4), cx.type_b(2))
 
@@ -39,6 +54,13 @@ def test_type_strings():
     assert cx.from_type_string("I2(5)").order == 10
     with pytest.raises(cx.CoxeterError):
         cx.from_type_string("Z9")
+
+
+@pytest.mark.parametrize("text", ["C3", "A", "A-1", "A3x", "", "B0",
+                                  "I2", "I2:x", "I2:1", "I2:70"])
+def test_malformed_type_strings(text):
+    with pytest.raises(cx.CoxeterError):
+        cx.from_type_string(text)
 
 
 def test_explicit_system_validation():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from catkit import boolmat as bm
+from catkit import coxeter as cx
 from catkit import dcm
 from catkit import hecke
 from catkit import permutations as pm
@@ -95,6 +96,17 @@ def test_projection_preserves_bruhat_order(n):
                                     (5, 103), (6, 513)])
 def test_monoid_sizes(n, size):
     assert len(dcm.dc_monoid(n)) == size
+
+
+@pytest.mark.parametrize("n,size", [(2, 2), (3, 5), (4, 14), (5, 42),
+                                    (6, 132)])
+def test_catalan_monoid_is_the_type_a_catalan_quotient(n, size):
+    # The second route: the folding action of A_{n-1} on the longest coset
+    # representatives modulo the parabolic of every generator but the first.
+    table = dcm.catalan_monoid(n)
+    quotient = cx.catalan_quotient(cx.type_a(n - 1), frozenset(range(1, n - 1)))
+    assert len(table) == len(quotient) == size
+    assert generators_match(table, quotient)
 
 
 def test_degree_cap():

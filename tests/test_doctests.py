@@ -1,12 +1,16 @@
 import doctest
+import pkgutil
+from importlib import import_module
 
 import pytest
 
-from catkit import boolmat, dyck, hecke, monoid, permutations, repmin
+import catkit
+
+MODULES = sorted(info.name
+                 for info in pkgutil.iter_modules(catkit.__path__, "catkit."))
 
 
-@pytest.mark.parametrize("module", [permutations, boolmat, dyck, hecke,
-                                    monoid, repmin])
-def test_module_doctests(module):
-    failures, _ = doctest.testmod(module)
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    failures, _ = doctest.testmod(import_module(name))
     assert failures == 0
