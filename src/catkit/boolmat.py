@@ -42,14 +42,6 @@ class BoolMat:
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i - 1] >> (j - 1)) & 1
 
-    def column_mask(self, j: int) -> int:
-        m = 0
-        bit = 1 << (j - 1)
-        for i, row in enumerate(self.rows):
-            if row & bit:
-                m |= 1 << i
-        return m
-
     def column_support(self, j: int) -> frozenset[int]:
         return frozenset(i + 1 for i in range(self.n)
                          if self.rows[i] >> (j - 1) & 1)
@@ -128,38 +120,31 @@ def is_reflexive(a: BoolMat) -> bool:
     return all(row >> i & 1 for i, row in enumerate(a.rows))
 
 
+def _convex_columns(a: BoolMat) -> tuple[int, ...] | None:
+    """The column masks of a convex relation, None for any other relation.
+
+    Convex means reflexive, with every row and column support an interval.
+    """
+    if not (is_reflexive(a) and all(_is_interval_mask(row) for row in a.rows)):
+        return None
+    cols = transpose(a).rows
+    return cols if all(_is_interval_mask(col) for col in cols) else None
+
+
 def is_convex(a: BoolMat) -> bool:
     """Reflexive, with every row and column support an interval."""
-    if not is_reflexive(a):
-        return False
-    if not all(_is_interval_mask(row) for row in a.rows):
-        return False
-    return all(_is_interval_mask(row) for row in transpose(a).rows)
-
-
-def _require_convex(a: BoolMat) -> None:
-    if not is_convex(a):
-        raise ValueError("matrix is not a convex relation")
-
-
-def max_map(a: BoolMat) -> MonotoneMap:
-    """Columnwise maximum of a convex relation; lands in the non-decreasing monoid."""
-    _require_convex(a)
-    cols = transpose(a).rows
-    return tuple(c.bit_length() for c in cols)
-
-
-def min_map(a: BoolMat) -> MonotoneMap:
-    """Columnwise minimum of a convex relation; lands in the non-increasing monoid."""
-    _require_convex(a)
-    cols = transpose(a).rows
-    return tuple((c & -c).bit_length() for c in cols)
+    return _convex_columns(a) is not None
 
 
 def to_map_pair(a: BoolMat) -> tuple[MonotoneMap, MonotoneMap]:
-    """The (max, min) pair of a convex relation; one direction of the isomorphism."""
-    _require_convex(a)
-    cols = transpose(a).rows
+    """The (max, min) pair of a convex relation; one direction of the isomorphism.
+
+    The columnwise maximum lands in the non-decreasing monoid, the columnwise
+    minimum in the non-increasing one.
+    """
+    cols = _convex_columns(a)
+    if cols is None:
+        raise ValueError("matrix is not a convex relation")
     return (tuple(c.bit_length() for c in cols),
             tuple((c & -c).bit_length() for c in cols))
 

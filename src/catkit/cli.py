@@ -34,6 +34,14 @@ def _cap(args, default: int) -> int:
     return int(raw)
 
 
+def degree(text: str) -> int:
+    """Parse --n; a negative degree ends in a message."""
+    n = int(text)
+    if n < 0:
+        raise SystemExit(f"--n must be at least 0, got {n}")
+    return n
+
+
 def _emit(payload: dict, args) -> None:
     report = {
         "version": __version__,
@@ -311,7 +319,7 @@ def _cmd_verify_all(args) -> int:
 def _cmd_export(args) -> int:
     n = args.n
     if args.what == "dc":
-        if not 0 <= n <= dcm.DEFAULT_DEGREE_CAP:
+        if n > dcm.DEFAULT_DEGREE_CAP:
             raise SystemExit(f"--n must be in 0..{dcm.DEFAULT_DEGREE_CAP}")
         table = dcm.dc_monoid(n)
         labels = lambda x: "|".join(bm.to_row_strings(x))
@@ -339,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hecke", help="products, ideals, foldings")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=degree)
     p.add_argument("--mul", nargs=2, metavar=("A", "B"))
     p.add_argument("--ideal", metavar="W")
     p.add_argument("--idempotents", action="store_true")
@@ -347,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hecke)
 
     p = sub.add_parser("dcm", help="double Catalan monoid")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=degree)
     p.add_argument("action", choices=["psi", "fiber", "count", "self-dual",
                                       "verify-presentation"])
     p.add_argument("argument", nargs="?")
@@ -386,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="closure tables and Cayley graphs")
     p.add_argument("--what", choices=["dc", "hecke", "catalan"],
                    required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=degree, required=True)
     p.add_argument("--dot", action="store_true")
     p.set_defaults(func=_cmd_export)
     return parser

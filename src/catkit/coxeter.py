@@ -247,19 +247,12 @@ def parabolic(sys: CoxeterSystem, J: frozenset[int] | set[int]) -> Parabolic:
     J = frozenset(J)
     if any(not 0 <= s < sys.rank for s in J):
         raise ValueError("generator index out of range")
-    members = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for s in J:
-                j = sys.right[i][s]
-                if j not in members:
-                    members.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    member_tuple = tuple(sorted(members))
-    longest = max(member_tuple, key=lambda i: sys.length[i])
+    # All reduced words of an element use the same letters, and closure
+    # words are reduced, so the subgroup is the elements spelled in J; the
+    # last of them in closure order is the longest.
+    member_tuple = tuple(i for i, word in enumerate(sys.words)
+                         if J.issuperset(word))
+    longest = member_tuple[-1]
     length, right = sys.length, sys.right
     max_reps = tuple(i for i in range(sys.order)
                      if all(length[right[i][s]] < length[i] for s in J))

@@ -65,9 +65,10 @@ def dc_of_perm(w: Perm) -> BoolMat:
     agree.
     """
     n = len(w)
+    gens = generators(n)
     by_word = bm.identity_mat(n)
     for i in pm.reduced_word(w):
-        by_word = bm.mul(by_word, generator(i, n))
+        by_word = bm.mul(by_word, gens[i - 1])
     by_fill = bm.from_map_pair(pm.ltr_maxima(w), pm.rtl_minima(w))
     if by_word != by_fill:
         raise InternalInconsistency(

@@ -102,18 +102,15 @@ class MonoidTable:
             data["product_table"] = self.product_table()
         return data
 
-    def right_cayley_dot(self, element_repr: Callable = None,
-                         gen_labels: Sequence[str] | None = None) -> str:
-        """The right Cayley graph in DOT format with generator-labeled edges."""
-        if gen_labels is None:
-            gen_labels = [f"g{g + 1}" for g in range(len(self.gens))]
+    def right_cayley_dot(self, element_repr: Callable = None) -> str:
+        """The right Cayley graph in DOT format, edges labeled g1..gk."""
         lines = ["digraph cayley {"]
         for i in range(len(self)):
             label = str(i) if element_repr is None else element_repr(self.elements[i])
             lines.append(f'  n{i} [label="{label}"];')
         for i, row in enumerate(self.right):
             for g, j in enumerate(row):
-                lines.append(f'  n{i} -> n{j} [label="{gen_labels[g]}"];')
+                lines.append(f'  n{i} -> n{j} [label="g{g + 1}"];')
         lines.append("}")
         return "\n".join(lines)
 

@@ -30,6 +30,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from . import coxeter as cx
+from . import dcm
 from .coxeter import CoxeterSystem
 
 ColumnMap = tuple  # tuple[int | None, ...]
@@ -400,8 +401,6 @@ def dc_min_dim(n: int) -> dict:
     fibers (checked), so it is a module over the quotient, of dimension
     2n - 2, and distinct quotient elements must act by distinct matrices.
     """
-    from . import dcm
-
     if n < 2:
         raise ValueError("degree must be at least 2")
     sys = cx.type_a(n - 1)

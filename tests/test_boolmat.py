@@ -82,20 +82,57 @@ def test_is_convex():
 
 def test_max_min_maps_on_staircase_example():
     xi = bm.from_row_strings(["1110", "1110", "0110", "0011"])
-    assert bm.max_map(xi) == (2, 3, 4, 4)
-    assert bm.min_map(xi) == (1, 1, 1, 4)
+    assert bm.to_map_pair(xi) == ((2, 3, 4, 4), (1, 1, 1, 4))
     ident = bm.identity_mat(3)
-    assert bm.max_map(ident) == (1, 2, 3)
-    assert bm.min_map(ident) == (1, 2, 3)
+    assert bm.to_map_pair(ident) == ((1, 2, 3), (1, 2, 3))
     ones = bm.all_ones(4)
-    assert bm.max_map(ones) == (4, 4, 4, 4)
-    assert bm.min_map(ones) == (1, 1, 1, 1)
+    assert bm.to_map_pair(ones) == ((4, 4, 4, 4), (1, 1, 1, 1))
 
 
 def test_max_map_rejects_non_convex():
     broken = bm.from_row_strings(["101", "010", "001"])
-    with pytest.raises(ValueError):
-        bm.max_map(broken)
+    with pytest.raises(ValueError, match="not a convex relation"):
+        bm.to_map_pair(broken)
+
+
+def _supports(a):
+    """Row supports and column supports, read entry by entry."""
+    idx = range(1, a.n + 1)
+    rows = [[j for j in idx if a.entry(i, j)] for i in idx]
+    cols = [[i for i in idx if a.entry(i, j)] for j in idx]
+    return rows, cols
+
+
+def _entrywise_convex(a):
+    rows, cols = _supports(a)
+    return (all(a.entry(i, i) for i in range(1, a.n + 1))
+            and all(s and s == list(range(s[0], s[-1] + 1))
+                    for s in rows + cols))
+
+
+@pytest.mark.parametrize("n,reflexive_only,count", [
+    (1, False, 2), (2, False, 16), (3, False, 512), (4, True, 4096)])
+def test_convexity_reader_matches_entrywise_definition(n, reflexive_only,
+                                                       count):
+    """Every matrix of degree <= 3 and every reflexive one of degree 4."""
+    mask = (1 << n) - 1
+    seen = 0
+    for bits in range(1 << (n * n)):
+        rows = tuple(bits >> (n * i) & mask for i in range(n))
+        if reflexive_only and not all(r >> i & 1 for i, r in enumerate(rows)):
+            continue
+        a = bm.BoolMat(n, rows)
+        seen += 1
+        convex = _entrywise_convex(a)
+        assert bm.is_convex(a) == convex
+        if convex:
+            cols = _supports(a)[1]
+            assert bm.to_map_pair(a) == (tuple(max(c) for c in cols),
+                                         tuple(min(c) for c in cols))
+        else:
+            with pytest.raises(ValueError, match="not a convex relation"):
+                bm.to_map_pair(a)
+    assert seen == count
 
 
 def test_interval_fill():

@@ -105,6 +105,9 @@ def test_bad_matrices_paths_and_maps_exit_with_a_message(capsys, argv,
     ["dcm", "--n", "9", "self-dual"],
     ["dcm", "--n", "1", "verify-presentation"],
     ["export", "--what", "dc", "--n", "9"],
+    ["hecke", "--n", "-1", "--idempotents"],
+    ["export", "--what", "hecke", "--n", "-2"],
+    ["export", "--what", "catalan", "--n", "-3"],
 ])
 def test_bad_input_ends_in_a_one_line_message(capsys, monkeypatch, argv):
     monkeypatch.delenv("CATKIT_CAP", raising=False)

@@ -146,6 +146,32 @@ def test_parabolic_and_max_reps():
     assert cx.coset_max_rep(sys, frozenset({0, 1}), 0) == sys.longest
 
 
+def _bfs_parabolic(sys, J):
+    """Members and longest element of the J-parabolic, by breadth-first
+    search from the identity along right multiplication by J."""
+    members, frontier = {0}, [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for s in J:
+                j = sys.right[i][s]
+                if j not in members:
+                    members.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    return tuple(sorted(members)), max(members, key=lambda i: sys.length[i])
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B1", "B2", "B3"]
+                         + [f"I2:{m}" for m in range(2, 8)])
+def test_parabolic_support_rule_matches_bfs(name):
+    sys = cx.from_type_string(name)
+    for mask in range(1 << sys.rank):
+        J = frozenset(s for s in range(sys.rank) if mask >> s & 1)
+        para = cx.parabolic(sys, J)
+        assert (para.members, para.longest) == _bfs_parabolic(sys, J)
+
+
 @pytest.mark.parametrize("make", [lambda: cx.type_a(3),
                                   lambda: cx.dihedral(4),
                                   lambda: cx.type_b(2)])
