@@ -24,14 +24,19 @@ from . import hecke
 from . import permutations as pm
 from . import repmin as rm
 from . import verify
+from .monoid import DEFAULT_CAP, MonoidCapExceeded
 
 
-def _cap(args, default: int) -> int:
-    """--cap if given, else the CATKIT_CAP environment variable, else default."""
-    raw = str(args.cap or os.environ.get("CATKIT_CAP") or default)
-    if not raw.isdecimal():
-        raise SystemExit(f"a cap must be a whole number, got {raw!r}")
-    return int(raw)
+def cap(text: str) -> int:
+    """Parse --cap; anything but a whole number above 0 ends in a message."""
+    if not text.isdecimal() or int(text) < 1:
+        raise SystemExit(f"--cap needs a whole number above 0, got {text!r}")
+    return int(text)
+
+
+def _cap(args) -> int:
+    """--cap if given, else DEFAULT_CAP; the envelope records only --cap."""
+    return DEFAULT_CAP if args.cap is None else args.cap
 
 
 def degree(text: str) -> int:
@@ -152,14 +157,13 @@ def _cmd_hecke(args) -> int:
 def _cmd_dcm(args) -> int:
     n = args.n
     action = args.action
-    if action in ("count", "self-dual", "verify-presentation"):
-        if n is None:
-            raise SystemExit(f"{action} requires --n")
-        least = 2 if action == "verify-presentation" else 0
-        cap = (_cap(args, dcm.DEFAULT_DEGREE_CAP) if action == "count"
-               else dcm.DEFAULT_DEGREE_CAP)
-        if not least <= n <= cap:
-            raise SystemExit(f"{action} needs --n in {least}..{cap}, got {n}")
+    if action in ("psi", "fiber"):
+        if args.cap is not None:
+            raise SystemExit(f"dcm {action} reads no cap")
+    elif n is None:
+        raise SystemExit(f"{action} requires --n")
+    elif action == "verify-presentation" and n < 2:
+        raise SystemExit(f"{action} needs --n of at least 2, got {n}")
     if action == "psi":
         (w,) = _parse_perms(args.argument)
         _emit({"matrix": bm.to_row_strings(dcm.dc_of_perm(w))}, args)
@@ -180,16 +184,14 @@ def _cmd_dcm(args) -> int:
             "convex": report.convex,
         }, args)
     elif action == "count":
-        _emit({"size": len(dcm.dc_monoid(n, degree_cap=cap))}, args)
+        _emit({"size": len(dcm.dc_monoid(n, _cap(args)))}, args)
     elif action == "self-dual":
-        _emit({"self_dual": dcm.self_dual_count(n),
+        _emit({"self_dual": dcm.self_dual_count(n, _cap(args)),
                "motzkin": dcm.motzkin_number(n)}, args)
-    elif action == "verify-presentation":
-        report = dcm.verify_presentation(n)
+    else:  # verify-presentation, the last of the parser's choices
+        report = dcm.verify_presentation(n, _cap(args))
         _emit({"presented_size": report.presented_size,
                "matches": report.matches}, args)
-    else:
-        raise SystemExit(f"unknown dcm action {action!r}")
     return 0
 
 
@@ -244,16 +246,12 @@ def _read_rows(path: str) -> list[list[int]]:
 
 
 def _build_system(args) -> cx.CoxeterSystem:
-    cap = _cap(args, 10_000)
-    try:
-        if args.type:
-            return cx.from_type_string(args.type, cap=cap)
-        if args.gens:
-            gens = [tuple(row) for row in _read_rows(args.gens)]
-            matrix = _read_rows(args.matrix) if args.matrix else None
-            return cx.coxeter_system(gens, matrix, cap=cap, name="custom")
-    except cx.CoxeterError as err:
-        raise SystemExit(str(err)) from None
+    if args.type:
+        return cx.from_type_string(args.type, cap=_cap(args))
+    if args.gens:
+        gens = [tuple(row) for row in _read_rows(args.gens)]
+        matrix = _read_rows(args.matrix) if args.matrix else None
+        return cx.coxeter_system(gens, matrix, cap=_cap(args), name="custom")
     raise SystemExit("need --type or --gens")
 
 
@@ -291,10 +289,7 @@ def _cmd_repmin(args) -> int:
     if args.type:
         if args.mod is not None and not _is_prime(args.mod):
             raise SystemExit(f"--mod needs a prime, got {args.mod}")
-        try:
-            sys_ = cx.from_type_string(args.type)
-        except cx.CoxeterError as err:
-            raise SystemExit(str(err)) from None
+        sys_ = cx.from_type_string(args.type)
         if sys_.rank == 0:
             raise SystemExit(f"repmin needs a rank of at least 1: {args.type}")
         _emit(rm.min_dim_report(sys_, p=args.mod), args)
@@ -319,18 +314,14 @@ def _cmd_verify_all(args) -> int:
 def _cmd_export(args) -> int:
     n = args.n
     if args.what == "dc":
-        if n > dcm.DEFAULT_DEGREE_CAP:
-            raise SystemExit(f"--n must be in 0..{dcm.DEFAULT_DEGREE_CAP}")
         table = dcm.dc_monoid(n)
         labels = lambda x: "|".join(bm.to_row_strings(x))
     elif args.what == "hecke":
         table = hecke.hecke_monoid(n)
         labels = pm.format_perm
-    elif args.what == "catalan":
+    else:  # catalan, the last of the parser's choices
         table = dcm.catalan_monoid(n)
         labels = pm.format_perm
-    else:
-        raise SystemExit(f"unknown export target {args.what!r}")
     if args.dot:
         sys.stdout.write(table.right_cayley_dot(element_repr=labels) + "\n")
     else:
@@ -359,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["psi", "fiber", "count", "self-dual",
                                       "verify-presentation"])
     p.add_argument("argument", nargs="?")
-    p.add_argument("--cap", type=int, help="degree cap of dcm count")
+    p.add_argument("--cap", type=cap, help="most elements a closure may hold")
     p.set_defaults(func=_cmd_dcm)
 
     p = sub.add_parser("dyck", help="Dyck path operations")
@@ -375,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quotient", choices=["catalan", "double"])
     p.add_argument("--J", help="comma-separated generator list, e.g. s1,s3")
     p.add_argument("--dot", action="store_true")
-    p.add_argument("--cap", type=int, help="element cap of the group")
+    p.add_argument("--cap", type=cap, help="most elements a closure may hold")
     p.set_defaults(func=_cmd_coxeter)
 
     p = sub.add_parser("repmin", help="effective representation dimensions")
@@ -410,6 +401,9 @@ def main(argv: list[str] | None = None) -> int:
         # point stdout at devnull so the final flush at exit cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (MonoidCapExceeded, cx.CoxeterError) as err:
+        # a closure beyond its cap, or a group the input does not define
+        raise SystemExit(str(err)) from None
     return code
 
 

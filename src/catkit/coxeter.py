@@ -24,9 +24,10 @@ quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from . import boolmat as bm
-from .monoid import MonoidCapExceeded, MonoidTable, generate_monoid
+from .monoid import DEFAULT_CAP, MonoidTable, generate_monoid
 
 CarrierPerm = tuple[int, ...]  # permutation of 0..m-1, value at index
 
@@ -35,15 +36,17 @@ def _compose(u: CarrierPerm, w: CarrierPerm) -> CarrierPerm:
     return tuple(u[x] for x in w)
 
 
-def _perm_order(p: CarrierPerm, cap: int = 64) -> int:
-    n = len(p)
-    cur = p
-    ident = tuple(range(n))
-    for k in range(1, cap + 1):
-        if cur == ident:
-            return k
-        cur = _compose(cur, p)
-    raise CoxeterError(f"a product of two generators has order above {cap}")
+def _perm_order(p: CarrierPerm) -> int:
+    """The order of p: the least common multiple of its cycle lengths."""
+    order, seen = 1, set()
+    for start in range(len(p)):
+        k, x = 0, start
+        while x not in seen:  # walk each cycle once, from its least point
+            seen.add(x)
+            x, k = p[x], k + 1
+        if k:
+            order = lcm(order, k)
+    return order
 
 
 class CoxeterError(ValueError):
@@ -105,7 +108,7 @@ class CoxeterSystem:
 
 def coxeter_system(gen_perms: list[CarrierPerm],
                    matrix: list[list[int]] | None = None,
-                   cap: int = 10_000, name: str = "") -> CoxeterSystem:
+                   cap: int = DEFAULT_CAP, name: str = "") -> CoxeterSystem:
     """Build the full element table of the group generated by gen_perms.
 
     The generators must be involutions and, when a Coxeter matrix is given,
@@ -131,10 +134,7 @@ def coxeter_system(gen_perms: list[CarrierPerm],
                 f"got orders {orders}")
     matrix_t = tuple(tuple(row) for row in orders)
 
-    try:
-        table = generate_monoid(gens, _compose, tuple(range(carrier)), cap)
-    except MonoidCapExceeded:
-        raise CoxeterError(f"group exceeds element cap {cap}") from None
+    table = generate_monoid(gens, _compose, tuple(range(carrier)), cap)
     length = tuple(len(w) for w in table.words)  # closure words are reduced
     if len(length) > 1 and length[-1] == length[-2]:
         raise CoxeterError("longest element is not unique; group not Coxeter?")
@@ -146,7 +146,7 @@ def coxeter_system(gen_perms: list[CarrierPerm],
                          left=tuple(tuple(row) for row in left))
 
 
-def type_a(rank: int, cap: int = 10_000) -> CoxeterSystem:
+def type_a(rank: int, cap: int = DEFAULT_CAP) -> CoxeterSystem:
     """Symmetric group of degree rank+1 acting on rank+1 points."""
     n = rank + 1
     gens = []
@@ -157,7 +157,7 @@ def type_a(rank: int, cap: int = 10_000) -> CoxeterSystem:
     return coxeter_system(gens, cap=cap, name=f"A{rank}")
 
 
-def type_b(rank: int, cap: int = 10_000) -> CoxeterSystem:
+def type_b(rank: int, cap: int = DEFAULT_CAP) -> CoxeterSystem:
     """Hyperoctahedral group on 2*rank signed points; order 2^rank * rank!."""
     if rank < 1:
         raise CoxeterError("type B needs rank at least 1")
@@ -174,7 +174,7 @@ def type_b(rank: int, cap: int = 10_000) -> CoxeterSystem:
     return coxeter_system(gens, cap=cap, name=f"B{rank}")
 
 
-def dihedral(m: int, cap: int = 10_000) -> CoxeterSystem:
+def dihedral(m: int, cap: int = DEFAULT_CAP) -> CoxeterSystem:
     """The dihedral system of order 2m on the 2m vertices of a polygon."""
     if m < 2:
         raise CoxeterError("dihedral parameter must be at least 2")
@@ -184,7 +184,7 @@ def dihedral(m: int, cap: int = 10_000) -> CoxeterSystem:
     return coxeter_system([s, t], cap=cap, name=f"I2({m})")
 
 
-def from_type_string(text: str, cap: int = 10_000) -> CoxeterSystem:
+def from_type_string(text: str, cap: int = DEFAULT_CAP) -> CoxeterSystem:
     """Parse "A4", "B3", "I2:6" or "I2(6)" into a built system."""
     text = text.strip()
     if text.startswith("I2"):
@@ -262,11 +262,9 @@ def parabolic(sys: CoxeterSystem, J: frozenset[int] | set[int]) -> Parabolic:
                      max_reps=max_reps)
 
 
-def coset_max_rep(sys: CoxeterSystem, J: frozenset[int] | set[int],
-                  i: int) -> int:
-    """The longest element of the coset of element i modulo the J-parabolic,
+def coset_max_rep(sys: CoxeterSystem, para: Parabolic, i: int) -> int:
+    """The longest element of the coset of element i modulo the parabolic,
     computed as the 0-Hecke product with the parabolic's top idempotent."""
-    para = parabolic(sys, J)
     return hecke_mul(sys, i, para.longest)
 
 

@@ -34,11 +34,9 @@ from functools import lru_cache
 from . import boolmat as bm
 from . import permutations as pm
 from .boolmat import BoolMat
-from .monoid import (MonoidTable, enumerate_presentation, generate_monoid,
-                     generators_match)
+from .monoid import (DEFAULT_CAP, MonoidTable, enumerate_presentation,
+                     generate_monoid, generators_match)
 from .permutations import MonotoneMap, Perm
-
-DEFAULT_DEGREE_CAP = 8
 
 
 class InternalInconsistency(AssertionError):
@@ -77,11 +75,15 @@ def dc_of_perm(w: Perm) -> BoolMat:
 
 
 @lru_cache(maxsize=None)
-def dc_monoid(n: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> MonoidTable:
-    """Closure table of the double Catalan monoid of degree n."""
-    if n > degree_cap:
-        raise ValueError(f"degree {n} above cap {degree_cap}")
-    return generate_monoid(generators(n), bm.mul, bm.identity_mat(n))
+def dc_monoid(n: int, cap: int = DEFAULT_CAP) -> MonoidTable:
+    """Closure table of the double Catalan monoid of degree n; a monoid of
+    more than cap elements raises MonoidCapExceeded."""
+    return generate_monoid(generators(n), bm.mul, bm.identity_mat(n), cap)
+
+
+def _capped(n: int, cap: int) -> MonoidTable:
+    """dc_monoid(n, cap), cached as dc_monoid(n) at the default cap."""
+    return dc_monoid(n) if cap == DEFAULT_CAP else dc_monoid(n, cap)
 
 
 def catalan_monoid(n: int) -> MonoidTable:
@@ -207,9 +209,9 @@ def is_symmetric(x: BoolMat) -> bool:
     return bm.transpose(x) == x
 
 
-def self_dual_count(n: int) -> int:
+def self_dual_count(n: int, cap: int = DEFAULT_CAP) -> int:
     """Number of symmetric elements; equals the n-th Motzkin number."""
-    return sum(1 for x in dc_monoid(n).elements if is_symmetric(x))
+    return sum(1 for x in _capped(n, cap).elements if is_symmetric(x))
 
 
 def motzkin_number(k: int) -> int:
@@ -269,19 +271,20 @@ class PresentationReport:
     matches: bool
 
 
-def verify_presentation(n: int) -> PresentationReport:
+def verify_presentation(n: int, cap: int = DEFAULT_CAP) -> PresentationReport:
     """Certify that the relation list presents the degree-n monoid.
 
     Todd-Coxeter enumeration closes the presented monoid into a table; the
     map sending each presented generator to the matching matrix generator
     extends to an isomorphism onto the closure of the matrices exactly when
     generators_match holds, so a match is a proof, not a bounded search.
+    The cap bounds both closures, the enumeration's by its live nodes.
     """
     if n < 2:
         raise ValueError("presentation needs at least one generator")
-    table = dc_monoid(n)  # first, so a degree above the cap fails fast
+    table = _capped(n, cap)
     rels = [(tuple(x - 1 for x in lhs), tuple(x - 1 for x in rhs))
             for lhs, rhs in presentation_relations(n)]
-    presented = enumerate_presentation(n - 1, rels)
+    presented = enumerate_presentation(n - 1, rels, cap)
     return PresentationReport(presented_size=len(presented),
                               matches=generators_match(presented, table))

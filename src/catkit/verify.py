@@ -299,7 +299,7 @@ def check_coset_max_reps(n_max: int, rng: random.Random) -> CheckResult:
             para = cx.parabolic(sys, J)
             sets, coset_id = cx.cosets(sys, J)
             for i in range(sys.order):
-                rep = cx.coset_max_rep(sys, J, i)
+                rep = cx.coset_max_rep(sys, para, i)
                 members = sets[coset_id[i]]
                 want = max(members, key=lambda x: sys.length[x])
                 if rep != want or rep not in para.max_reps:
@@ -316,8 +316,8 @@ def check_coset_max_reps(n_max: int, rng: random.Random) -> CheckResult:
             for u in range(sys.order):
                 for w in range(sys.order):
                     if cx.bruhat_leq(sys, u, w):
-                        pu = cx.coset_max_rep(sys, J, u)
-                        pw = cx.coset_max_rep(sys, J, w)
+                        pu = cx.coset_max_rep(sys, para, u)
+                        pw = cx.coset_max_rep(sys, para, w)
                         if not cx.bruhat_leq(sys, pu, pw):
                             return _fail(name, {"type": sys.name,
                                                 "J": sorted(J),

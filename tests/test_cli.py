@@ -88,7 +88,7 @@ def test_bad_matrices_paths_and_maps_exit_with_a_message(capsys, argv,
 
 @pytest.mark.parametrize("argv", [
     ["coxeter", "--type", "C3"],
-    ["coxeter", "--type", "I2:70"],
+    ["coxeter", "--type", "A3", "--cap", "0"],
     ["coxeter", "--type", "A7"],
     ["coxeter", "--type", "A3", "--quotient", "double", "--J", "x"],
     ["coxeter", "--type", "A3", "--quotient", "catalan", "--J", "s4"],
@@ -99,18 +99,22 @@ def test_bad_matrices_paths_and_maps_exit_with_a_message(capsys, argv,
     ["repmin", "--dc", "1"],
     ["hecke", "--fold", "1", "xx"],
     ["hecke", "--fold", "4", "({1,3},{2,4})"],
-    ["dcm", "--n", "9", "count"],
+    ["dcm", "--n", "9", "count", "--cap", "1000"],
     ["dcm", "--n", "6", "count", "--cap", "5"],
     ["dcm", "--n", "-1", "count"],
-    ["dcm", "--n", "9", "self-dual"],
+    ["dcm", "--n", "9", "self-dual", "--cap", "1000"],
     ["dcm", "--n", "1", "verify-presentation"],
-    ["export", "--what", "dc", "--n", "9"],
+    ["export", "--what", "dc", "--n", "9"],  # DC_9 exceeds the default cap
     ["hecke", "--n", "-1", "--idempotents"],
     ["export", "--what", "hecke", "--n", "-2"],
     ["export", "--what", "catalan", "--n", "-3"],
+    ["dcm", "--n", "3", "count", "--cap", "-3"],
+    ["repmin", "--dc", "8"],  # A7 exceeds the default cap
+    ["dcm", "psi", "1", "--cap", "3"],
+    ["dcm", "fiber", "1111,1111,1111,1111", "--cap", "3"],
+    ["dcm", "--n", "4", "verify-presentation", "--cap", "30"],
 ])
-def test_bad_input_ends_in_a_one_line_message(capsys, monkeypatch, argv):
-    monkeypatch.delenv("CATKIT_CAP", raising=False)
+def test_bad_input_ends_in_a_one_line_message(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     message = exc.value.code
@@ -130,19 +134,34 @@ def test_bad_input_prints_no_traceback(tmp_path):
     assert proc.stderr == f"not rows of integers: {gens}\n"
 
 
-@pytest.mark.parametrize("env,argv", [
+@pytest.mark.parametrize("cap,argv", [
     ("5", ["dcm", "--n", "6", "count"]),
     ("20", ["coxeter", "--type", "A3"]),  # 24 elements
     ("x", ["coxeter", "--type", "A2"]),
     ("-3", ["dcm", "--n", "2", "count"]),
 ])
-def test_catkit_cap_bounds_dcm_count_and_coxeter(capsys, monkeypatch, env,
-                                                  argv):
-    monkeypatch.setenv("CATKIT_CAP", env)
+def test_catkit_cap_bounds_dcm_count_and_coxeter(capsys, cap, argv):
+    """--cap counts elements; a closure beyond it, or a cap that is not a
+    whole number of at least 1, ends in a one-line message."""
     with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert isinstance(exc.value.code, str)
+        main(argv + ["--cap", cap])
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv,cap,key,value", [
+    (["dcm", "--n", "4", "count"], 23, "size", 23),
+    (["dcm", "--n", "4", "self-dual"], 23, "self_dual", 9),
+    # Todd-Coxeter holds at most 35 live nodes at degree 4
+    (["dcm", "--n", "4", "verify-presentation"], 35, "presented_size", 23),
+    (["coxeter", "--type", "A3"], 24, "order", 24),
+])
+def test_a_cap_of_exactly_the_closure_size_suffices(capsys, argv, cap, key,
+                                                    value):
+    _, report = run_cli(capsys, *argv, "--cap", str(cap))
+    assert report["result"][key] == value
+    assert report["config"]["cap"] == cap
 
 
 @pytest.mark.parametrize("argv", [
@@ -170,8 +189,7 @@ def test_options_nothing_reads_are_gone(capsys, argv):
     ["verify-all", "--n-max", "1"],
     ["export", "--what", "catalan", "--n", "3"],
 ])
-def test_envelope_defaults_without_seed_or_cap(capsys, monkeypatch, argv):
-    monkeypatch.delenv("CATKIT_CAP", raising=False)
+def test_envelope_defaults_without_seed_or_cap(capsys, argv):
     _, report = run_cli(capsys, *argv)
     assert report["config"] == {"subcommand": argv[0], "seed": 0,
                                 "cap": None}
@@ -246,6 +264,12 @@ def test_coxeter_info(capsys):
     _, report = run_cli(capsys, "coxeter", "--type", "B3")
     assert report["result"]["order"] == 48
     assert report["result"]["vertex_count"] == 26
+
+
+def test_coxeter_dihedral_of_order_above_64(capsys):
+    _, report = run_cli(capsys, "coxeter", "--type", "I2:100")
+    assert report["result"]["order"] == 200
+    assert report["result"]["coxeter_matrix"] == [[1, 100], [100, 1]]
 
 
 def test_coxeter_quotient(capsys):

@@ -2,7 +2,7 @@ import pytest
 
 from catkit import coxeter as cx
 from catkit import dcm
-from catkit.monoid import generators_match
+from catkit.monoid import MonoidCapExceeded, generators_match
 
 
 @pytest.mark.parametrize("build,order,top_len", [
@@ -57,7 +57,7 @@ def test_type_strings():
 
 
 @pytest.mark.parametrize("text", ["C3", "A", "A-1", "A3x", "", "B0",
-                                  "I2", "I2:x", "I2:1", "I2:70"])
+                                  "I2", "I2:x", "I2:1"])
 def test_malformed_type_strings(text):
     with pytest.raises(cx.CoxeterError):
         cx.from_type_string(text)
@@ -72,8 +72,16 @@ def test_explicit_system_validation():
         cx.coxeter_system([s, t], [[1, 4], [4, 1]])
     with pytest.raises(cx.CoxeterError):
         cx.coxeter_system([(1, 2, 0)])  # not an involution
-    with pytest.raises(cx.CoxeterError):
+    with pytest.raises(MonoidCapExceeded):
         cx.type_a(6, cap=100)  # 5040 elements
+
+
+@pytest.mark.parametrize("m", [3, 64, 65, 100])
+def test_dihedral_matrix_has_any_order(m):
+    # orders are exact, not found by a bounded search
+    sys = cx.dihedral(m)
+    assert sys.matrix == ((1, m), (m, 1))
+    assert sys.order == 2 * m
 
 
 def test_lengths_match_inversion_count_in_type_a():
@@ -137,13 +145,14 @@ def test_parabolic_and_max_reps():
     assert len(para.max_reps) == 3
     # coset of s1 = {213, 231}: longest representative is 231
     s1 = sys.generators[0]
-    rep = cx.coset_max_rep(sys, J, s1)
+    rep = cx.coset_max_rep(sys, para, s1)
     assert sys.elements[rep] == (1, 2, 0)  # 231 in carrier form
     # elements already representatives project to themselves
     for w in para.max_reps:
-        assert cx.coset_max_rep(sys, J, w) == w
+        assert cx.coset_max_rep(sys, para, w) == w
     # J = S gives a single coset with the longest element on top
-    assert cx.coset_max_rep(sys, frozenset({0, 1}), 0) == sys.longest
+    whole = cx.parabolic(sys, frozenset({0, 1}))
+    assert cx.coset_max_rep(sys, whole, 0) == sys.longest
 
 
 def _bfs_parabolic(sys, J):
@@ -183,7 +192,7 @@ def test_max_rep_characterization(make):
         sets, coset_id = cx.cosets(sys, J)
         assert len(sets) * len(para.members) == sys.order
         for i in range(sys.order):
-            rep = cx.coset_max_rep(sys, J, i)
+            rep = cx.coset_max_rep(sys, para, i)
             assert coset_id[rep] == coset_id[i]
             members = sets[coset_id[i]]
             assert sys.length[rep] == max(sys.length[x] for x in members)
@@ -237,10 +246,11 @@ def test_bruhat_order_on_system():
         assert cx.bruhat_leq(sys, i, sys.longest)
     # projection to max representatives is order preserving
     for mask in range(1 << sys.rank):
-        J = frozenset(s for s in range(sys.rank) if mask >> s & 1)
+        para = cx.parabolic(sys, frozenset(s for s in range(sys.rank)
+                                           if mask >> s & 1))
         for u in range(sys.order):
             for w in range(sys.order):
                 if cx.bruhat_leq(sys, u, w):
                     assert cx.bruhat_leq(sys,
-                                         cx.coset_max_rep(sys, J, u),
-                                         cx.coset_max_rep(sys, J, w))
+                                         cx.coset_max_rep(sys, para, u),
+                                         cx.coset_max_rep(sys, para, w))

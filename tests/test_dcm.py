@@ -110,8 +110,13 @@ def test_catalan_monoid_is_the_type_a_catalan_quotient(n, size):
 
 
 def test_degree_cap():
-    with pytest.raises(ValueError):
-        dcm.dc_monoid(9)
+    """The cap counts elements, so it bounds the degree only through the
+    size of DC_n: DC_5 has 103 elements, DC_6 has 513."""
+    assert len(dcm.dc_monoid(5, cap=103)) == 103
+    with pytest.raises(MonoidCapExceeded):
+        dcm.dc_monoid(6, cap=103)
+    with pytest.raises(MonoidCapExceeded):
+        dcm.self_dual_count(5, cap=102)
 
 
 def test_fibers():
@@ -269,6 +274,15 @@ def test_without_long_relation_presents_hecke(n, size):
     assert generators_match(table, hecke.hecke_monoid(n))
     # from degree 4 on the long relation is needed to present DC_n
     assert generators_match(table, dcm.dc_monoid(n)) == (n < 4)
+
+
+def test_presentation_cap_bounds_both_closures():
+    # DC_4 has 23 elements, and its enumeration holds at most 35 live nodes
+    assert dcm.verify_presentation(4, cap=35).matches
+    with pytest.raises(MonoidCapExceeded, match="live nodes"):
+        dcm.verify_presentation(4, cap=34)
+    with pytest.raises(MonoidCapExceeded, match="elements"):
+        dcm.verify_presentation(4, cap=22)
 
 
 def test_without_idempotency_the_enumeration_hits_the_cap():

@@ -67,8 +67,17 @@ def test_left_table():
 
 
 def test_cap_exceeded():
+    """The cap is the most elements a closure holds: DC_4 has 23 elements,
+    and Todd-Coxeter at degree 4 holds at most 35 live nodes."""
+    gens, one = dcm.generators(4), bm.identity_mat(4)
+    assert len(generate_monoid(gens, bm.mul, one, cap=23)) == 23
     with pytest.raises(MonoidCapExceeded):
-        generate_monoid(dcm.generators(5), bm.mul, bm.identity_mat(5), cap=10)
+        generate_monoid(gens, bm.mul, one, cap=22)
+    rels = [(tuple(x - 1 for x in lhs), tuple(x - 1 for x in rhs))
+            for lhs, rhs in dcm.presentation_relations(4)]
+    assert len(enumerate_presentation(3, rels, cap=35)) == 23
+    with pytest.raises(MonoidCapExceeded):
+        enumerate_presentation(3, rels, cap=34)
 
 
 def test_enumerate_cyclic_monoid():

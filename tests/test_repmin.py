@@ -251,7 +251,7 @@ def test_basis_permutation_agrees_with_coset_projection():
         para = cx.parabolic(sys, J)
         for i in range(sys.order):
             assert cx.hecke_mul(sys, i, para.longest) == \
-                cx.coset_max_rep(sys, J, i)
+                cx.coset_max_rep(sys, para, i)
 
 
 @pytest.mark.parametrize("make", [lambda: cx.type_a(2), lambda: cx.type_a(3),
