@@ -47,6 +47,13 @@ def degree(text: str) -> int:
     return n
 
 
+def _check_degree(args, size: int, text: str) -> None:
+    """--n, when given, must be the degree of the argument it comes with."""
+    if args.n is not None and args.n != size:
+        raise SystemExit(f"--n {args.n} does not match the degree {size} "
+                         f"of {text!r}")
+
+
 def _emit(payload: dict, args) -> None:
     report = {
         "version": __version__,
@@ -129,9 +136,11 @@ def _cmd_hecke(args) -> int:
     n = args.n
     if args.mul:
         a, b = _parse_perms(*args.mul)
+        _check_degree(args, len(a), args.mul[0])
         _emit({"product": pm.format_perm(hecke.mul(a, b))}, args)
     elif args.ideal:
         (w,) = _parse_perms(args.ideal)
+        _check_degree(args, len(w), args.ideal)
         _emit({"ideal": _perm_strs(hecke.bruhat_ideal(w))}, args)
     elif args.idempotents:
         if n is None:
@@ -144,7 +153,9 @@ def _cmd_hecke(args) -> int:
         except ValueError:
             raise SystemExit(
                 f"not an ordered set partition: {text!r}") from None
-        top = sum(len(block) for block in part) - 1
+        size = sum(len(block) for block in part)
+        _check_degree(args, size, text)
+        top = size - 1
         if not (i.isdecimal() and 1 <= int(i) <= top):
             raise SystemExit(f"--fold needs a value in 1..{top}, got {i!r}")
         _emit({"folded": hecke.format_partition(hecke.fold(int(i), part))},
@@ -166,12 +177,14 @@ def _cmd_dcm(args) -> int:
         raise SystemExit(f"{action} needs --n of at least 2, got {n}")
     if action == "psi":
         (w,) = _parse_perms(args.argument)
+        _check_degree(args, len(w), args.argument)
         _emit({"matrix": bm.to_row_strings(dcm.dc_of_perm(w))}, args)
     elif action == "fiber":
         if args.argument is None:
             raise SystemExit("a matrix argument is required")
         try:
             x = bm.parse_matrix(args.argument)
+            _check_degree(args, x.n, args.argument)
             members = dcm.fiber(x)
         except ValueError:
             raise SystemExit("not a matrix of the double Catalan monoid: "

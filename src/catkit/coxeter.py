@@ -138,12 +138,11 @@ def coxeter_system(gen_perms: list[CarrierPerm],
     length = tuple(len(w) for w in table.words)  # closure words are reduced
     if len(length) > 1 and length[-1] == length[-2]:
         raise CoxeterError("longest element is not unique; group not Coxeter?")
-    left = [[table.index[_compose(g, x)] for g in gens] for x in table.elements]
     return CoxeterSystem(name=name, gen_perms=gens, matrix=matrix_t,
                          elements=tuple(table.elements), index=table.index,
                          length=length, words=tuple(table.words),
                          right=tuple(tuple(row) for row in table.right),
-                         left=tuple(tuple(row) for row in left))
+                         left=tuple(tuple(row) for row in table.left_table()))
 
 
 def type_a(rank: int, cap: int = DEFAULT_CAP) -> CoxeterSystem:

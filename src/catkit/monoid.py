@@ -8,9 +8,19 @@ generators applied on the right, so elements are numbered deterministically
 by (word length, generator sequence) in lexicographic order and every
 element carries a shortest witness word.
 
-The right Cayley table is stored explicitly; arbitrary products are
-recovered by walking witness words through it, so no full product table is
-materialized unless asked for.
+The closure is a prefix tree (Froidure and Pin, "Algorithms for computing
+finite semigroups", 1997): every element j > 0 is its parent, the element
+whose row discovered it, times the last letter g of its word.  Only the
+right Cayley table is stored.  A single product x * j walks j's word
+through it; whole tables follow the prefix rule
+
+    x * j = (x * parent[j]) * g,
+
+one right-table step per entry.  So does the left Cayley table, the
+products g' * j.  A finite monoid is J-trivial iff it is both R-trivial and
+L-trivial (Pin, "Mathematical Foundations of Automata Theory", on Green's
+relations), that is, iff neither its right nor its left Cayley graph has a
+cycle other than a self-loop.
 
 A monoid given by a finite presentation is enumerated by Todd-Coxeter
 coset enumeration instead, and its finished table is renumbered by the same
@@ -42,6 +52,7 @@ class MonoidTable:
     gens: tuple[int, ...]
     right: list[list[int]]
     words: list[tuple[int, ...]]
+    parent: list[int]  # element j > 0 is parent[j] times letter words[j][-1]
     _left: list[list[int]] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
@@ -58,17 +69,31 @@ class MonoidTable:
             cur = self.right[cur][g]
         return cur
 
+    def _steps(self) -> list[tuple[int, int]]:
+        """(parent, last letter) of every element after the identity."""
+        return [(p, w[-1]) for p, w in zip(self.parent[1:], self.words[1:])]
+
     def left_table(self) -> list[list[int]]:
-        """left[i][g] = index of generators[g] * elements[i]."""
+        """left[i][g] = index of generators[g] * elements[i], by the prefix
+        rule: left[j][g] = right[left[parent[j]][g]][last letter of j]."""
         if self._left is None:
-            self._left = [[self.product(self.gens[g], i)
-                           for g in range(len(self.gens))]
-                          for i in range(len(self.elements))]
+            right = self.right
+            left = [list(self.gens)]
+            for p, g in self._steps():
+                left.append([right[x][g] for x in left[p]])
+            self._left = left
         return self._left
 
     def product_table(self) -> list[list[int]]:
-        return [[self.product(i, j) for j in range(len(self))]
-                for i in range(len(self))]
+        """table[i][j] = product(i, j), by the prefix rule along each row."""
+        right, steps = self.right, self._steps()
+        table = []
+        for i in range(len(self)):
+            row = [i]
+            for p, g in steps:
+                row.append(right[row[p]][g])
+            table.append(row)
+        return table
 
     def two_sided_ideal(self, a: int) -> frozenset[int]:
         """Indices of all elements x*a*y."""
@@ -87,9 +112,9 @@ class MonoidTable:
         return frozenset(seen)
 
     def is_j_trivial(self) -> bool:
-        """Distinct elements generate distinct two-sided principal ideals."""
-        ideals = {self.two_sided_ideal(i) for i in range(len(self))}
-        return len(ideals) == len(self)
+        """Distinct elements generate distinct two-sided principal ideals:
+        neither Cayley graph has a cycle other than a self-loop."""
+        return _loops_only(self.right) and _loops_only(self.left_table())
 
     def idempotent_indices(self) -> list[int]:
         return [i for i in range(len(self)) if self.product(i, i) == i]
@@ -120,6 +145,24 @@ class MonoidTable:
         return "\n".join(lines)
 
 
+def _loops_only(graph: list[list[int]]) -> bool:
+    """True iff the graph with edges x -> y for y in graph[x] has no cycle
+    other than a self-loop, by Kahn's algorithm."""
+    indegree = [0] * len(graph)
+    for x, row in enumerate(graph):
+        for y in row:
+            if y != x:
+                indegree[y] += 1
+    order = [x for x, d in enumerate(indegree) if d == 0]
+    for x in order:  # the loop also visits the nodes appended during it
+        for y in graph[x]:
+            if y != x:
+                indegree[y] -= 1
+                if indegree[y] == 0:
+                    order.append(y)
+    return len(order) == len(graph)
+
+
 def generate_monoid(generators: Sequence[Hashable], mul: Callable,
                     identity: Hashable, cap: int | None = None) -> MonoidTable:
     """Close a generating set under an associative product.
@@ -131,6 +174,7 @@ def generate_monoid(generators: Sequence[Hashable], mul: Callable,
     elements = [identity]
     index = {identity: 0}
     words: list[tuple[int, ...]] = [()]
+    parent = [0]
     right: list[list[int]] = []
     pos = 0
     while pos < len(elements):
@@ -147,12 +191,13 @@ def generate_monoid(generators: Sequence[Hashable], mul: Callable,
                 index[y] = j
                 elements.append(y)
                 words.append(words[pos] + (g,))
+                parent.append(pos)
             row.append(j)
         right.append(row)
         pos += 1
     gens = tuple(index[g] for g in generators) if generators else ()
     return MonoidTable(elements=elements, index=index, gens=gens,
-                       right=right, words=words)
+                       right=right, words=words, parent=parent)
 
 
 def enumerate_presentation(letters: int,
@@ -261,16 +306,14 @@ def generators_match(a: MonoidTable, b: MonoidTable) -> bool:
 
     Since every element of a is reached by its witness word, it is enough
     to check that the generator-matched word map is well defined on the
-    right Cayley table and bijective.
+    right Cayley table and bijective.  The map follows a's prefix tree:
+    phi[j] = b.right[phi[parent[j]]][last letter of j].
     """
     if len(a) != len(b) or len(a.gens) != len(b.gens):
         return False
-    phi = [0] * len(a)
-    for i in range(1, len(a)):
-        cur = 0
-        for g in a.words[i]:
-            cur = b.right[cur][g]
-        phi[i] = cur
+    phi = [0]
+    for p, g in a._steps():
+        phi.append(b.right[phi[p]][g])
     if len(set(phi)) != len(a):
         return False
     for i in range(len(a)):

@@ -113,6 +113,12 @@ def test_bad_matrices_paths_and_maps_exit_with_a_message(capsys, argv,
     ["dcm", "psi", "1", "--cap", "3"],
     ["dcm", "fiber", "1111,1111,1111,1111", "--cap", "3"],
     ["dcm", "--n", "4", "verify-presentation", "--cap", "30"],
+    # --n must be the degree of the argument it comes with
+    ["dcm", "--n", "9", "psi", "231"],
+    ["dcm", "--n", "2", "fiber", "110,111,011"],
+    ["hecke", "--n", "7", "--mul", "231", "312"],
+    ["hecke", "--n", "2", "--ideal", "231"],
+    ["hecke", "--n", "3", "--fold", "1", "({1,3},{2,4})"],
 ])
 def test_bad_input_ends_in_a_one_line_message(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -121,6 +127,16 @@ def test_bad_input_ends_in_a_one_line_message(capsys, argv):
     assert isinstance(message, str)  # printed to stderr, exit status 1
     assert message and "\n" not in message
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["dcm", "--n", "3", "psi", "231"], "matrix"),
+    (["dcm", "--n", "3", "fiber", "111,111,011"], "fiber"),
+    (["hecke", "--n", "3", "--ideal", "231"], "ideal"),
+])
+def test_a_matching_n_is_accepted(capsys, argv, key):
+    code, report = run_cli(capsys, *argv)
+    assert code == 0 and report["result"][key]
 
 
 def test_bad_input_prints_no_traceback(tmp_path):

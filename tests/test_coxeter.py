@@ -39,6 +39,16 @@ def test_closure_built_tables(type_string):
         assert sys.words[sys.right[i][word[-1]]] == word[:-1]
 
 
+@pytest.mark.parametrize("type_string", ["A3", "B3", "I2(5)"])
+def test_left_table_matches_composing_each_generator(type_string):
+    """The left table, built by the prefix rule, against s * w composed
+    and looked up for every generator s and element w."""
+    sys = cx.from_type_string(type_string)
+    assert sys.left == tuple(
+        tuple(sys.index[cx._compose(g, x)] for g in sys.gen_perms)
+        for x in sys.elements)
+
+
 def test_dihedral_is_b2():
     assert generators_match_orders(cx.dihedral(4), cx.type_b(2))
 

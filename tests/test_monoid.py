@@ -1,7 +1,10 @@
+import functools
+
 import pytest
 
 from catkit import boolmat as bm
 from catkit import dcm
+from catkit import hecke
 from catkit import permutations as pm
 from catkit.monoid import (MonoidCapExceeded, enumerate_presentation,
                            generate_monoid, generators_match)
@@ -98,6 +101,95 @@ def test_hecke_is_j_trivial():
     from catkit import hecke
     for n in (2, 3, 4):
         assert hecke.hecke_monoid(n).is_j_trivial()
+
+
+TABLES = ([("DC", n, dcm.dc_monoid) for n in range(2, 7)]
+          + [("Catalan", n, catalan_table) for n in range(2, 7)]
+          + [("Hecke", n, hecke.hecke_monoid) for n in range(2, 6)])
+
+
+def _compose_transformations(x, y):
+    return tuple(y[v] for v in x)
+
+
+def _left_zero(x, y):
+    """x * y = x for x, y in {a, b}, with the identity 1 adjoined."""
+    return y if x == "1" else x
+
+
+def _right_zero(x, y):
+    return x if y == "1" else y
+
+
+NOT_J_TRIVIAL = {
+    # the full transformation monoid T_3: 27 elements
+    "T3": lambda: generate_monoid([(1, 0, 2), (1, 2, 0), (0, 0, 2)],
+                                  _compose_transformations, (0, 1, 2)),
+    "S4": lambda: generate_monoid([(1, 0, 2, 3), (1, 2, 3, 0)],
+                                  _compose_transformations, (0, 1, 2, 3)),
+    # R-trivial, but a and b are L-related: only the left graph has a cycle
+    "left-zero": lambda: generate_monoid(["a", "b"], _left_zero, "1"),
+    # its dual: L-trivial, and only the right graph has a cycle
+    "right-zero": lambda: generate_monoid(["a", "b"], _right_zero, "1"),
+}
+
+
+def _ideal_count_j_trivial(table):
+    """The definition: distinct elements, distinct two-sided ideals."""
+    ideals = {table.two_sided_ideal(i) for i in range(len(table))}
+    return len(ideals) == len(table)
+
+
+@pytest.mark.parametrize("family,n,build", TABLES)
+def test_product_table_matches_word_walks(family, n, build):
+    table = build(n)
+    assert table.product_table() == [
+        [table.product(i, j) for j in range(len(table))]
+        for i in range(len(table))]
+
+
+@pytest.mark.parametrize("family,n,build", TABLES)
+def test_left_table_matches_word_walks(family, n, build):
+    table = build(n)
+    assert table.left_table() == [
+        [table.product(gi, i) for gi in table.gens]
+        for i in range(len(table))]
+
+
+@pytest.mark.parametrize("family,n,build", TABLES)
+def test_j_triviality_matches_ideal_count(family, n, build):
+    table = build(n)
+    assert table.is_j_trivial() is _ideal_count_j_trivial(table) is True
+
+
+@pytest.mark.parametrize("name", sorted(NOT_J_TRIVIAL))
+def test_j_triviality_fails_where_ideals_coincide(name):
+    table = NOT_J_TRIVIAL[name]()
+    assert table.is_j_trivial() is _ideal_count_j_trivial(table) is False
+
+
+def test_left_zero_monoid_is_r_trivial_only():
+    """Each Cayley graph is needed: the left-zero monoid's cycle lies in
+    its left graph, the right-zero monoid's in its right graph."""
+    left_zero, right_zero = (NOT_J_TRIVIAL[name]()
+                             for name in ("left-zero", "right-zero"))
+    assert len(left_zero) == len(right_zero) == 3
+    assert left_zero.right == [[1, 2], [1, 1], [2, 2]]
+    assert left_zero.left_table() == [[1, 2], [1, 2], [1, 2]]
+    assert right_zero.right == [[1, 2], [1, 2], [1, 2]]
+    assert right_zero.left_table() == [[1, 2], [1, 1], [2, 2]]
+
+
+@pytest.mark.parametrize("build", [
+    *(functools.partial(build, n) for _, n, build in TABLES),
+    *NOT_J_TRIVIAL.values()])
+def test_parent_is_the_word_prefix(build):
+    table = build()
+    assert table.parent[0] == 0
+    for j in range(1, len(table)):
+        p, g = table.parent[j], table.words[j][-1]
+        assert table.words[p] + (g,) == table.words[j]
+        assert table.right[p][g] == j
 
 
 def test_generators_match_detects_mismatch():
