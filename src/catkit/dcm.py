@@ -13,12 +13,15 @@ The projection is computed by two independent routes, generator products
 and interval fill, and the two must agree; a mismatch is an internal error,
 never user error.
 
-Fibers of the projection are scanned exhaustively over S_n.  Each fiber
+Fibers of the projection come from one breadth-first pass over the right
+weak order of S_n, each image checked against its interval fill.  Each fiber
 carries a unique 4321-avoiding member, which is also its Bruhat minimum;
 its Bruhat-maximal members are exactly the 4231-avoiding ones, and fibers
 are Bruhat convex.  The analogous statements for the one-sided projection
 onto the non-decreasing Catalan monoid (321/312-avoiding witnesses, fibers
-are Bruhat intervals) are implemented alongside.
+are Bruhat intervals) are implemented alongside.  Convexity and the
+interval property are decided at the exits of a fiber, the permutations
+outside it that cover one of its members in the Bruhat order.
 
 The finite presentation (idempotency, distant commutation, braid moves,
 plus one extra length 5 = 6 relation) is certified exactly: Todd-Coxeter
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Collection, Iterator
 
 from . import boolmat as bm
 from . import permutations as pm
@@ -99,19 +103,79 @@ def catalan_monoid(n: int) -> MonoidTable:
 
 @lru_cache(maxsize=None)
 def projection_fibers(n: int) -> dict[BoolMat, tuple[Perm, ...]]:
-    """All fibers of the projection, by exhaustive scan of S_n."""
+    """All fibers of the projection, keyed in lexicographic order of their
+    first members, each listing its members in lexicographic order.
+
+    One breadth-first pass over the right weak order computes every image:
+    if w(i) < w(i+1), then w*s_i is longer than w, so its image is the image
+    of w times the i-th generator.  The path to each permutation spells one
+    of its reduced words, so this is the generator-product route with shared
+    prefixes; every image is then checked against its interval fill.
+    """
+    gens = generators(n)
+    start = pm.identity(n)
+    image = {start: bm.identity_mat(n)}
+    frontier = [start]
+    while frontier:
+        reached = []
+        for w in frontier:
+            x = image[w]
+            for i in range(1, n):
+                if w[i - 1] < w[i]:
+                    v = pm.mul_simple_right(w, i)
+                    if v not in image:
+                        image[v] = bm.mul(x, gens[i - 1])
+                        reached.append(v)
+        frontier = reached
     fibers: dict[BoolMat, list[Perm]] = {}
     for w in pm.all_perms(n):
-        fibers.setdefault(dc_of_perm(w), []).append(w)
+        x = image[w]
+        if x != bm.from_map_pair(pm.ltr_maxima(w), pm.rtl_minima(w)):
+            raise InternalInconsistency(
+                f"projection routes disagree for {pm.format_perm(w)}")
+        fibers.setdefault(x, []).append(w)
     return {x: tuple(ws) for x, ws in fibers.items()}
 
 
 def fiber(x: BoolMat) -> tuple[Perm, ...]:
-    """All permutations whose projection is x; empty means x is not in the monoid."""
+    """All permutations whose projection is x; raises ValueError when x is
+    not in the monoid."""
     members = projection_fibers(x.n).get(x, ())
     if not members:
         raise ValueError("matrix is not an element of the double Catalan monoid")
     return members
+
+
+def _bruhat_covers(u: Perm) -> Iterator[Perm]:
+    """The permutations covering u in the Bruhat order: the products
+    u*(i j) with u(i) < u(j) and no k between i and j having
+    u(i) < u(k) < u(j) (Björner and Brenti, Combinatorics of Coxeter
+    Groups, Lemma 2.1.4)."""
+    n = len(u)
+    for i in range(n - 1):
+        low = u[i]
+        ceiling = n + 1   # least value above low seen between i and j
+        for j in range(i + 1, n):
+            if low < u[j] < ceiling:
+                v = list(u)
+                v[i], v[j] = u[j], low
+                yield tuple(v)
+                ceiling = u[j]
+
+
+def _bruhat_convex(members: Collection[Perm], tops: Collection[Perm]) -> bool:
+    """Whether members are convex in the Bruhat order, given tops among them
+    with every member below some top.
+
+    Decided at the exits, the permutations outside members that cover one
+    of them: members are convex iff no exit lies below a top.  If u <= v <= w
+    with u and w members and v not, a maximal chain from u to v leaves the
+    members at an exit, and that exit lies below w, hence below a top.
+    """
+    member_set = set(members)
+    exits = {v for u in member_set for v in _bruhat_covers(u)
+             if v not in member_set}
+    return not any(pm.bruhat_leq(v, w) for v in exits for w in tops)
 
 
 _P4321 = (4, 3, 2, 1)
@@ -142,18 +206,11 @@ def fiber_analysis(x: BoolMat) -> FiberReport:
     tau = avoiders[0]
     if not all(pm.bruhat_leq(tau, w) for w in members):
         raise InternalInconsistency("4321-avoiding member is not the minimum")
-    member_set = set(members)
     maximal = _bruhat_maximal(members)
     if maximal != frozenset(w for w in members if pm.avoids(w, _P4231)):
         raise InternalInconsistency(
             "maximal members are not exactly the 4231-avoiding ones")
-    n = x.n
-    convex = all(
-        v in member_set
-        for u in members for w in members
-        if u != w and pm.bruhat_leq(u, w)
-        for v in pm.all_perms(n)
-        if pm.bruhat_leq(u, v) and pm.bruhat_leq(v, w))
+    convex = _bruhat_convex(members, maximal)
     return FiberReport(tau=tau, maximal=maximal, convex=convex)
 
 
@@ -184,7 +241,6 @@ def catalan_fiber_analysis(alpha: MonotoneMap) -> CatalanFiberReport:
     n = len(alpha)
     pi = pm.min_perm_with_maxima(alpha)
     members = [w for w in pm.all_perms(n) if pm.ltr_maxima(w) == tuple(alpha)]
-    member_set = set(members)
     if pm.ltr_maxima(pi) != tuple(alpha) or not pm.avoids(pi, (3, 2, 1)):
         raise InternalInconsistency("recursion witness invalid")
     if [w for w in members if pm.avoids(w, (3, 2, 1))] != [pi]:
@@ -196,9 +252,9 @@ def catalan_fiber_analysis(alpha: MonotoneMap) -> CatalanFiberReport:
     if not all(pm.bruhat_leq(pi, w) and pm.bruhat_leq(w, pi_prime)
                for w in members):
         raise InternalInconsistency("fiber not bounded by its witnesses")
-    interval = all((v in member_set) ==
-                   (pm.bruhat_leq(pi, v) and pm.bruhat_leq(v, pi_prime))
-                   for v in pm.all_perms(n))
+    # every member lies in [pi, pi_prime], so the fiber is that interval
+    # iff it is convex
+    interval = _bruhat_convex(members, (pi_prime,))
     return CatalanFiberReport(pi=pi, pi_prime=pi_prime, interval=interval)
 
 

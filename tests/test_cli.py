@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import catkit
+from catkit import boolmat as bm
+from catkit import dcm
 from catkit.cli import _is_prime, main
 
 
@@ -249,6 +251,14 @@ def test_dcm_fiber(capsys):
     assert report["result"]["maximal"] == ["4321"]
     assert report["result"]["convex"] is True
     assert report["result"]["fiber"] == ["4231", "4321"]
+
+
+def test_dcm_fiber_with_two_maximal_members(capsys):
+    """The first degree with a fiber of several maximal members is 7."""
+    rows = ",".join(bm.to_row_strings(dcm.dc_of_perm((5, 2, 7, 6, 1, 4, 3))))
+    _, report = run_cli(capsys, "dcm", "fiber", rows)
+    assert report["result"]["maximal"] == ["5276143", "5472163"]
+    assert report["result"]["convex"] is True
 
 
 def test_dcm_count_and_self_dual(capsys):

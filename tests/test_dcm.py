@@ -1,3 +1,6 @@
+import random
+from functools import cache
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +11,7 @@ from catkit import hecke
 from catkit import permutations as pm
 from catkit.monoid import (MonoidCapExceeded, enumerate_presentation,
                            generators_match)
+from catkit.verify import check_dc_fibers
 
 
 def perms(n_max=6):
@@ -147,6 +151,89 @@ def test_fiber_analysis():
         assert singleton.maximal == {pm.simple_transposition(i, 3)}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_projection_fibers_equal_the_dc_of_perm_scan(n):
+    """The weak-order pass gives the fibers of the two-route scan, with the
+    same key order and the same member order."""
+    scan = {}
+    for w in pm.all_perms(n):
+        scan.setdefault(dcm.dc_of_perm(w), []).append(w)
+    assert list(dcm.projection_fibers(n).items()) == \
+        [(x, tuple(ws)) for x, ws in scan.items()]
+
+
+def test_projection_fibers_of_degree_eight():
+    fibers = dcm.projection_fibers(8)
+    assert len(fibers) == 15767   # A005802, the 4321-avoiders of S_8
+    members = [w for ws in fibers.values() for w in ws]
+    assert len(members) == len(set(members)) == 40320
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_bruhat_covers(n):
+    """v covers u iff u <= v and v has exactly one more inversion."""
+    group = list(pm.all_perms(n))
+    for u in group:
+        covers = list(dcm._bruhat_covers(u))
+        assert len(covers) == len(set(covers))
+        assert set(covers) == {
+            v for v in group if pm.bruhat_leq(u, v)
+            and pm.inversions(v) == pm.inversions(u) + 1}
+
+
+@cache
+def _bruhat_relation(n):
+    """Every pair (u, v) of S_n with u <= v in the Bruhat order."""
+    group = list(pm.all_perms(n))
+    return frozenset((u, v) for u in group for v in group
+                     if pm.bruhat_leq(u, v))
+
+
+def _convex_by_scan(members, n):
+    """Bruhat convexity by definition: whatever lies between two members is
+    a member."""
+    leq = _bruhat_relation(n)
+    member_set = set(members)
+    return all(v in member_set
+               for u in members for w in members
+               if u != w and (u, w) in leq
+               for v in pm.all_perms(n)
+               if (u, v) in leq and (v, w) in leq)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_fiber_convexity_matches_the_definition(n):
+    for x in dcm.dc_monoid(n).elements:
+        assert dcm.fiber_analysis(x).convex == \
+            _convex_by_scan(dcm.fiber(x), n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_exit_rule_matches_the_definition_on_random_subsets(n):
+    """Seeded subsets of S_n: arbitrary ones, mostly not convex, and
+    Bruhat intervals with and without one inner element removed.  Every
+    subset of the chains S_1 and S_2 is convex."""
+    rng = random.Random(n)
+    group = list(pm.all_perms(n))
+    leq = _bruhat_relation(n)
+    subsets = [rng.sample(group, rng.randint(1, min(8, len(group))))
+               for _ in range(150)]
+    pairs = sorted(leq)
+    for _ in range(150):
+        u, w = rng.choice(pairs)
+        interval = [v for v in group if (u, v) in leq and (v, w) in leq]
+        subsets.append(interval)
+        if len(interval) > 2:
+            inner = [v for v in interval if v not in (u, w)]
+            subsets.append([v for v in interval if v != rng.choice(inner)])
+    seen = set()
+    for members in subsets:
+        convex = _convex_by_scan(members, n)
+        assert dcm._bruhat_convex(members, members) == convex, members
+        seen.add(convex)
+    assert seen == ({True, False} if n >= 3 else {True})
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_fiber_structure_exhaustive(n):
     for x in dcm.dc_monoid(n).elements:
@@ -181,6 +268,25 @@ def test_catalan_fiber_analysis():
 def test_catalan_fiber_structure_exhaustive(n):
     for alpha in pm.all_nondecreasing_maps(n):
         assert dcm.catalan_fiber_analysis(alpha).interval
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_catalan_interval_matches_the_full_scan(n):
+    """The fiber equals [pi, pi_prime] iff every permutation of S_n is in
+    the fiber exactly when it lies in that interval."""
+    for alpha in pm.all_nondecreasing_maps(n):
+        report = dcm.catalan_fiber_analysis(alpha)
+        scan = all((pm.ltr_maxima(v) == alpha)
+                   == (pm.bruhat_leq(report.pi, v)
+                       and pm.bruhat_leq(v, report.pi_prime))
+                   for v in pm.all_perms(n))
+        assert report.interval == scan
+
+
+def test_dc_fiber_check_reaches_degree_seven():
+    result = check_dc_fibers(7, random.Random(0))
+    assert result.passed
+    assert result.details == {"range": "1..7"}
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 4), (4, 9),
