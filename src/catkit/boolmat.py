@@ -8,6 +8,14 @@ double Catalan monoid act (left multiplication by I + mat(s_i) replaces rows
 i and i+1 by their common union, right multiplication does the same to
 columns).
 
+The double Catalan closure packs a matrix further, into one n^2-bit
+integer with rows[i-1] at bit (i-1)*n, so that the entry (i, j) is bit
+(i-1)*n + j-1.  The column mask C_k (k = 0..n-1) has bit k of every row
+set.  Right multiplication by the i-th generator ORs columns i and i+1,
+the bits under C_{i-1} and C_i, so on a packed x it is one expression:
+
+    x | (x & C_i) >> 1 | (x & C_{i-1}) << 1.
+
 Convex relations are the reflexive ones whose row and column supports are
 all intervals; they form a submonoid isomorphic to the product of the two
 Catalan monoids via the column max/min maps, with inverse given by interval
@@ -85,6 +93,26 @@ def mul(a: BoolMat, b: BoolMat) -> BoolMat:
     return BoolMat(a.n, tuple(out))
 
 
+def _pack(a: BoolMat) -> int:
+    """The rows of a as one n^2-bit integer, row i-1 at bit (i-1)*n."""
+    x = 0
+    for i, row in enumerate(a.rows):
+        x |= row << (i * a.n)
+    return x
+
+
+def _unpack(x: int, n: int) -> BoolMat:
+    """The matrix of a packed integer, through the validating constructor."""
+    mask = (1 << n) - 1
+    return BoolMat(n, tuple([x >> (i * n) & mask for i in range(n)]))
+
+
+def _column_masks(n: int) -> list[int]:
+    """The column masks C_0..C_{n-1} of the packed layout."""
+    first = sum(1 << (i * n) for i in range(n))
+    return [first << j for j in range(n)]
+
+
 def union(a: BoolMat, b: BoolMat) -> BoolMat:
     """Entrywise OR, the semiring sum."""
     if a.n != b.n:
@@ -151,13 +179,18 @@ def to_map_pair(a: BoolMat) -> tuple[MonotoneMap, MonotoneMap]:
 
 def from_map_pair(alpha: Sequence[int], beta: Sequence[int]) -> BoolMat:
     """Interval fill: the convex relation with (i, j) set iff beta(j) <= i <= alpha(j)."""
-    n = len(alpha)
-    if len(beta) != n:
+    if len(beta) != len(alpha):
         raise ValueError("map degrees differ")
     if not is_nondecreasing_map(alpha):
         raise ValueError(f"not a non-decreasing map: {alpha!r}")
     if not is_nonincreasing_map(beta):
         raise ValueError(f"not a non-increasing map: {beta!r}")
+    return _interval_fill(alpha, beta)
+
+
+def _interval_fill(alpha: Sequence[int], beta: Sequence[int]) -> BoolMat:
+    """from_map_pair without its checks, for maps monotone by construction."""
+    n = len(alpha)
     rows = [0] * n
     for j in range(n):
         for i in range(beta[j] - 1, alpha[j]):

@@ -71,7 +71,7 @@ def dc_of_perm(w: Perm) -> BoolMat:
     by_word = bm.identity_mat(n)
     for i in pm.reduced_word(w):
         by_word = bm.mul(by_word, gens[i - 1])
-    by_fill = bm.from_map_pair(pm.ltr_maxima(w), pm.rtl_minima(w))
+    by_fill = bm._interval_fill(pm.ltr_maxima(w), pm.rtl_minima(w))
     if by_word != by_fill:
         raise InternalInconsistency(
             f"projection routes disagree for {pm.format_perm(w)}")
@@ -81,8 +81,30 @@ def dc_of_perm(w: Perm) -> BoolMat:
 @lru_cache(maxsize=None)
 def dc_monoid(n: int, cap: int = DEFAULT_CAP) -> MonoidTable:
     """Closure table of the double Catalan monoid of degree n; a monoid of
-    more than cap elements raises MonoidCapExceeded."""
-    return generate_monoid(generators(n), bm.mul, bm.identity_mat(n), cap)
+    more than cap elements raises MonoidCapExceeded.
+
+    The closure runs on packed matrices (see boolmat), where right
+    multiplication by the i-th generator ORs columns i and i+1 with two
+    masks and two shifts; the elements are unpacked once it is done.
+    """
+    gens = [bm._pack(g) for g in generators(n)]
+    cols = bm._column_masks(n)
+    masks = {g: (cols[i], cols[i - 1]) for i, g in enumerate(gens, 1)}
+
+    def times(x: int, g: int) -> int:
+        upper, lower = masks[g]
+        return x | (x & upper) >> 1 | (x & lower) << 1
+
+    table = generate_monoid(gens, times, bm._pack(bm.identity_mat(n)), cap)
+    # Unpack in place, each packed int freed as its matrix replaces it, and
+    # keep the index numbers, which right and parent share: peak memory
+    # stays near that of closing on BoolMat elements.
+    numbers = list(table.index.values())
+    table.index.clear()
+    for k, x in enumerate(table.elements):
+        table.elements[k] = bm._unpack(x, n)
+    table.index = dict(zip(table.elements, numbers))
+    return table
 
 
 def _capped(n: int, cap: int) -> MonoidTable:
@@ -130,7 +152,7 @@ def projection_fibers(n: int) -> dict[BoolMat, tuple[Perm, ...]]:
     fibers: dict[BoolMat, list[Perm]] = {}
     for w in pm.all_perms(n):
         x = image[w]
-        if x != bm.from_map_pair(pm.ltr_maxima(w), pm.rtl_minima(w)):
+        if x != bm._interval_fill(pm.ltr_maxima(w), pm.rtl_minima(w)):
             raise InternalInconsistency(
                 f"projection routes disagree for {pm.format_perm(w)}")
         fibers.setdefault(x, []).append(w)
@@ -236,11 +258,35 @@ class CatalanFiberReport:
     interval: bool  # fiber equals the Bruhat interval [pi, pi_prime]
 
 
+def _maxima_fiber(alpha: MonotoneMap) -> list[Perm]:
+    """The permutations with prefix maxima alpha, a non-decreasing map, in
+    lexicographic order: each record position of alpha takes its value, and
+    every other position any unused value below the running maximum."""
+    n = len(alpha)
+    used = [False] * (n + 1)
+
+    def rec(prefix: list[int]) -> Iterator[Perm]:
+        i = len(prefix)
+        if i == n:
+            yield tuple(prefix)
+            return
+        top = alpha[i]
+        record = i == 0 or top > alpha[i - 1]
+        for v in (top,) if record else range(1, top):
+            if not used[v]:
+                used[v] = True
+                prefix.append(v)
+                yield from rec(prefix)
+                prefix.pop()
+                used[v] = False
+
+    return list(rec([]))
+
+
 def catalan_fiber_analysis(alpha: MonotoneMap) -> CatalanFiberReport:
     """Structure of the fiber of one prefix-maxima value."""
-    n = len(alpha)
     pi = pm.min_perm_with_maxima(alpha)
-    members = [w for w in pm.all_perms(n) if pm.ltr_maxima(w) == tuple(alpha)]
+    members = _maxima_fiber(alpha)
     if pm.ltr_maxima(pi) != tuple(alpha) or not pm.avoids(pi, (3, 2, 1)):
         raise InternalInconsistency("recursion witness invalid")
     if [w for w in members if pm.avoids(w, (3, 2, 1))] != [pi]:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -142,6 +144,19 @@ def test_interval_fill():
     assert mat.column_support(3) == {1, 2, 3}
     xi = bm.from_row_strings(["1110", "1110", "0110", "0011"])
     assert bm.from_map_pair(*bm.to_map_pair(xi)) == xi
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_packing_round_trip(n):
+    cols = bm._column_masks(n)
+    for rows in itertools.product(range(1 << n), repeat=n):
+        a = bm.BoolMat(n, rows)
+        x = bm._pack(a)
+        assert x < 1 << (n * n)
+        assert bm._unpack(x, n) == a
+        for j in range(1, n + 1):  # entry (i, j) is bit (i-1)*n + j-1
+            assert x & cols[j - 1] == sum(
+                a.entry(i, j) << ((i - 1) * n + j - 1) for i in range(1, n + 1))
 
 
 @given(convex_mats())

@@ -141,6 +141,17 @@ def test_a_matching_n_is_accepted(capsys, argv, key):
     assert code == 0 and report["result"][key]
 
 
+def test_dcm_count_at_degree_nine():
+    """DC_9 has 94,359 elements (A005802), beyond the default cap; its own
+    interpreter, so the cached table does not stay with the test session."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "catkit.cli", "dcm", "--n", "9", "count",
+         "--cap", "100000"],
+        capture_output=True, text=True, env=_cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] == {"size": 94359}
+
+
 def test_bad_input_prints_no_traceback(tmp_path):
     gens = tmp_path / "gens.txt"
     gens.write_text("1 0 x\n")

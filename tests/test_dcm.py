@@ -10,7 +10,7 @@ from catkit import dcm
 from catkit import hecke
 from catkit import permutations as pm
 from catkit.monoid import (MonoidCapExceeded, enumerate_presentation,
-                           generators_match)
+                           generate_monoid, generators_match)
 from catkit.verify import check_dc_fibers
 
 
@@ -111,6 +111,15 @@ def test_catalan_monoid_is_the_type_a_catalan_quotient(n, size):
     quotient = cx.catalan_quotient(cx.type_a(n - 1), frozenset(range(1, n - 1)))
     assert len(table) == len(quotient) == size
     assert generators_match(table, quotient)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_packed_closure_matches_the_boolmat_reference(n):
+    table = dcm.dc_monoid(n)
+    reference = generate_monoid(dcm.generators(n), bm.mul, bm.identity_mat(n))
+    for name in ("elements", "index", "right", "words", "parent", "gens"):
+        assert getattr(table, name) == getattr(reference, name), name
+    assert all(type(x) is bm.BoolMat for x in table.elements)
 
 
 def test_degree_cap():
@@ -268,6 +277,13 @@ def test_catalan_fiber_analysis():
 def test_catalan_fiber_structure_exhaustive(n):
     for alpha in pm.all_nondecreasing_maps(n):
         assert dcm.catalan_fiber_analysis(alpha).interval
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_maxima_fiber_matches_the_scan(n):
+    for alpha in pm.all_nondecreasing_maps(n):
+        assert dcm._maxima_fiber(alpha) == [
+            w for w in pm.all_perms(n) if pm.ltr_maxima(w) == alpha]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

@@ -100,6 +100,14 @@ def test_maxima_minima():
     assert pm.rtl_minima(ident) == ident
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_maxima_and_minima_are_monotone_on_all_of_s_n(n):
+    """Interval fill skips its map checks for these pairs; this is why."""
+    for w in pm.all_perms(n):
+        assert pm.is_nondecreasing_map(pm.ltr_maxima(w))
+        assert pm.is_nonincreasing_map(pm.rtl_minima(w))
+
+
 @given(perms())
 def test_maxima_straddle_the_diagonal(w):
     alpha = pm.ltr_maxima(w)
