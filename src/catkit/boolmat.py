@@ -8,11 +8,11 @@ double Catalan monoid act (left multiplication by I + mat(s_i) replaces rows
 i and i+1 by their common union, right multiplication does the same to
 columns).
 
-The double Catalan closure packs a matrix further, into one n^2-bit
-integer with rows[i-1] at bit (i-1)*n, so that the entry (i, j) is bit
-(i-1)*n + j-1.  The column mask C_k (k = 0..n-1) has bit k of every row
-set.  Right multiplication by the i-th generator ORs columns i and i+1,
-the bits under C_{i-1} and C_i, so on a packed x it is one expression:
+The double Catalan generator products pack a matrix further, into one
+n^2-bit integer with rows[i-1] at bit (i-1)*n, so that the entry (i, j) is
+bit (i-1)*n + j-1.  The column mask C_k (k = 0..n-1) has bit k of every row
+set.  Right multiplication by the i-th generator ORs columns i and i+1, the
+bits under C_{i-1} and C_i, so on a packed x it is one step (_column_or):
 
     x | (x & C_i) >> 1 | (x & C_{i-1}) << 1.
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _iproduct
-from typing import Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .permutations import (MonotoneMap, Perm, is_nondecreasing_map,
                            is_nonincreasing_map)
@@ -107,10 +107,18 @@ def _unpack(x: int, n: int) -> BoolMat:
     return BoolMat(n, tuple([x >> (i * n) & mask for i in range(n)]))
 
 
-def _column_masks(n: int) -> list[int]:
-    """The column masks C_0..C_{n-1} of the packed layout."""
-    first = sum(1 << (i * n) for i in range(n))
-    return [first << j for j in range(n)]
+def _column_or(n: int,
+               keys: Iterable[Hashable]) -> Callable[[int, Hashable], int]:
+    """step(x, keys[i-1]) is the packed x times I + the transposition of
+    columns i and i+1, for i = 1..n-1: columns i and i+1 of x ORed."""
+    first = sum(1 << (i * n) for i in range(n))  # the column mask C_0
+    masks = {key: (first << i, first << (i - 1))
+             for i, key in enumerate(keys, 1)}
+
+    def step(x: int, key: Hashable) -> int:
+        upper, lower = masks[key]
+        return x | (x & upper) >> 1 | (x & lower) << 1
+    return step
 
 
 def union(a: BoolMat, b: BoolMat) -> BoolMat:

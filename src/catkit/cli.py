@@ -27,11 +27,14 @@ from . import verify
 from .monoid import DEFAULT_CAP, MonoidCapExceeded
 
 
-def cap(text: str) -> int:
-    """Parse --cap; anything but a whole number above 0 ends in a message."""
-    if not text.isdecimal() or int(text) < 1:
-        raise SystemExit(f"--cap needs a whole number above 0, got {text!r}")
-    return int(text)
+def _above_zero(flag: str):
+    """The parser of flag; anything but a whole number above 0 ends in a
+    message."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < 1:
+            raise SystemExit(f"{flag} needs a whole number above 0, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _cap(args) -> int:
@@ -225,11 +228,9 @@ def _cmd_dyck(args) -> int:
     elif action == "path":
         (alpha,) = _parse_maps(*args.args)
         _emit({"path": dyck.map_to_path(alpha)}, args)
-    elif action == "map":
+    else:  # map, the last of the parser's choices
         (path,) = _parse_paths(*args.args)
         _emit({"map": pm.format_perm(dyck.path_to_map(path))}, args)
-    else:
-        raise SystemExit(f"unknown dyck action {action!r}")
     return 0
 
 
@@ -363,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["psi", "fiber", "count", "self-dual",
                                       "verify-presentation"])
     p.add_argument("argument", nargs="?")
-    p.add_argument("--cap", type=cap, help="most elements a closure may hold")
+    p.add_argument("--cap", type=_above_zero("--cap"),
+                   help="most elements a closure may hold")
     p.set_defaults(func=_cmd_dcm)
 
     p = sub.add_parser("dyck", help="Dyck path operations")
@@ -379,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quotient", choices=["catalan", "double"])
     p.add_argument("--J", help="comma-separated generator list, e.g. s1,s3")
     p.add_argument("--dot", action="store_true")
-    p.add_argument("--cap", type=cap, help="most elements a closure may hold")
+    p.add_argument("--cap", type=_above_zero("--cap"),
+                   help="most elements a closure may hold")
     p.set_defaults(func=_cmd_coxeter)
 
     p = sub.add_parser("repmin", help="effective representation dimensions")
@@ -391,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_repmin)
 
     p = sub.add_parser("verify-all", help="run every verification suite")
-    p.add_argument("--n-max", type=int, default=4)
+    p.add_argument("--n-max", type=_above_zero("--n-max"), default=4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify_all)
 

@@ -314,8 +314,14 @@ def vertex_count(sys: CoxeterSystem) -> int:
 # ---------------------------------------------------------------------------
 # Generalized Catalan and double Catalan quotients.
 
-def _compose_transformation(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x[v] for v in y)
+def folding_action(sys: CoxeterSystem,
+                   para: Parabolic) -> tuple[tuple[int, ...], ...]:
+    """For each generator, its left folding of the longest coset
+    representatives, as a map of their positions in para.max_reps."""
+    position = {w: k for k, w in enumerate(para.max_reps)}
+    return tuple(tuple(position[e_mul(sys, s, w, side="left")]
+                       for w in para.max_reps)
+                 for s in range(sys.rank))
 
 
 def catalan_quotient(sys: CoxeterSystem,
@@ -323,13 +329,8 @@ def catalan_quotient(sys: CoxeterSystem,
     """The transformation monoid of the folding action on the longest coset
     representatives (equivalently on the left ideal of the J idempotent)."""
     para = parabolic(sys, J)
-    position = {w: k for k, w in enumerate(para.max_reps)}
-    gens = []
-    for s in range(sys.rank):
-        gens.append(tuple(position[e_mul(sys, s, w, side="left")]
-                          for w in para.max_reps))
-    ident = tuple(range(len(para.max_reps)))
-    return generate_monoid(gens, _compose_transformation, ident)
+    return generate_monoid(folding_action(sys, para), _compose,
+                           tuple(range(len(para.max_reps))))
 
 
 def double_catalan_quotient(sys: CoxeterSystem,

@@ -13,8 +13,8 @@ The projection is computed by two independent routes, generator products
 and interval fill, and the two must agree; a mismatch is an internal error,
 never user error.
 
-Fibers of the projection come from one breadth-first pass over the right
-weak order of S_n, each image checked against its interval fill.  Each fiber
+Fibers of the projection come from the prefix tree of the 0-Hecke closure,
+each image checked against its interval fill.  Each fiber
 carries a unique 4321-avoiding member, which is also its Bruhat minimum;
 its Bruhat-maximal members are exactly the 4231-avoiding ones, and fibers
 are Bruhat convex.  The analogous statements for the one-sided projection
@@ -32,10 +32,11 @@ matrix closure generator for generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Collection, Iterator
 
 from . import boolmat as bm
+from . import hecke
 from . import permutations as pm
 from .boolmat import BoolMat
 from .monoid import (DEFAULT_CAP, MonoidTable, enumerate_presentation,
@@ -62,17 +63,15 @@ def generators(n: int) -> list[BoolMat]:
 def dc_of_perm(w: Perm) -> BoolMat:
     """The image of the 0-Hecke element of w in the double Catalan monoid.
 
-    Computed both as the generator product along a reduced word of w and as
-    the interval fill of (prefix maxima, suffix minima); the routes must
-    agree.
+    Computed both as the generator product along a reduced word of w, on
+    packed matrices, and as the interval fill of (prefix maxima, suffix
+    minima); the routes must agree.
     """
     n = len(w)
-    gens = generators(n)
-    by_word = bm.identity_mat(n)
-    for i in pm.reduced_word(w):
-        by_word = bm.mul(by_word, gens[i - 1])
+    by_word = reduce(bm._column_or(n, range(1, n)), pm.reduced_word(w),
+                     bm._pack(bm.identity_mat(n)))
     by_fill = bm._interval_fill(pm.ltr_maxima(w), pm.rtl_minima(w))
-    if by_word != by_fill:
+    if by_word != bm._pack(by_fill):
         raise InternalInconsistency(
             f"projection routes disagree for {pm.format_perm(w)}")
     return by_fill
@@ -84,18 +83,12 @@ def dc_monoid(n: int, cap: int = DEFAULT_CAP) -> MonoidTable:
     more than cap elements raises MonoidCapExceeded.
 
     The closure runs on packed matrices (see boolmat), where right
-    multiplication by the i-th generator ORs columns i and i+1 with two
-    masks and two shifts; the elements are unpacked once it is done.
+    multiplication by the i-th generator ORs columns i and i+1; the
+    elements are unpacked once it is done.
     """
     gens = [bm._pack(g) for g in generators(n)]
-    cols = bm._column_masks(n)
-    masks = {g: (cols[i], cols[i - 1]) for i, g in enumerate(gens, 1)}
-
-    def times(x: int, g: int) -> int:
-        upper, lower = masks[g]
-        return x | (x & upper) >> 1 | (x & lower) << 1
-
-    table = generate_monoid(gens, times, bm._pack(bm.identity_mat(n)), cap)
+    table = generate_monoid(gens, bm._column_or(n, gens),
+                            bm._pack(bm.identity_mat(n)), cap)
     # Unpack in place, each packed int freed as its matrix replaces it, and
     # keep the index numbers, which right and parent share: peak memory
     # stays near that of closing on BoolMat elements.
@@ -128,31 +121,24 @@ def projection_fibers(n: int) -> dict[BoolMat, tuple[Perm, ...]]:
     """All fibers of the projection, keyed in lexicographic order of their
     first members, each listing its members in lexicographic order.
 
-    One breadth-first pass over the right weak order computes every image:
-    if w(i) < w(i+1), then w*s_i is longer than w, so its image is the image
-    of w times the i-th generator.  The path to each permutation spells one
-    of its reduced words, so this is the generator-product route with shared
-    prefixes; every image is then checked against its interval fill.
+    The projection is a monoid homomorphism from the 0-Hecke monoid, so the
+    image of each element of its closure is the image of the element's
+    parent times the generator of its last letter: the generator-product
+    route along reduced words, with shared prefixes, on packed matrices.
+    Every image is then checked against its interval fill.
     """
-    gens = generators(n)
-    start = pm.identity(n)
-    image = {start: bm.identity_mat(n)}
-    frontier = [start]
-    while frontier:
-        reached = []
-        for w in frontier:
-            x = image[w]
-            for i in range(1, n):
-                if w[i - 1] < w[i]:
-                    v = pm.mul_simple_right(w, i)
-                    if v not in image:
-                        image[v] = bm.mul(x, gens[i - 1])
-                        reached.append(v)
-        frontier = reached
+    table = hecke.hecke_monoid(n)
+    index, parent, words = table.index, table.parent, table.words
+    del table  # free the right table before the images, the words after
+    step = bm._column_or(n, range(n - 1))  # letters are generator positions
+    image = [bm._pack(bm.identity_mat(n))]
+    for j in range(1, len(words)):
+        image.append(step(image[parent[j]], words[j][-1]))
+    del parent, words
     fibers: dict[BoolMat, list[Perm]] = {}
     for w in pm.all_perms(n):
-        x = image[w]
-        if x != bm._interval_fill(pm.ltr_maxima(w), pm.rtl_minima(w)):
+        x = bm._interval_fill(pm.ltr_maxima(w), pm.rtl_minima(w))
+        if bm._pack(x) != image[index[w]]:
             raise InternalInconsistency(
                 f"projection routes disagree for {pm.format_perm(w)}")
         fibers.setdefault(x, []).append(w)
@@ -330,7 +316,7 @@ def is_block_all_ones(x: BoolMat) -> bool:
     i = 0
     while i < x.n:
         row = x.rows[i]
-        if not bm._is_interval_mask(row) or not (row >> i) & 1:
+        if not bm._is_interval_mask(row):
             return False
         lo = (row & -row).bit_length() - 1
         hi = row.bit_length()

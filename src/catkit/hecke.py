@@ -89,9 +89,16 @@ def idempotents(n: int) -> list[Perm]:
 
 
 def hecke_monoid(n: int) -> MonoidTable:
-    """The full 0-Hecke monoid of degree n as a closure table (size n!)."""
+    """The full 0-Hecke monoid of degree n as a closure table (size n!),
+    closed by the right fold: s_i swaps an ascent at positions i, i+1."""
     gens = [pm.simple_transposition(i, n) for i in range(1, n)]
-    return generate_monoid(gens, mul, pm.identity(n))
+    letter = {g: i for i, g in enumerate(gens, 1)}
+
+    def fold(z: Perm, g: Perm) -> Perm:
+        i = letter[g]
+        return pm.mul_simple_right(z, i) if z[i - 1] < z[i] else z
+
+    return generate_monoid(gens, fold, pm.identity(n))
 
 
 # ---------------------------------------------------------------------------

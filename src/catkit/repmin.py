@@ -67,12 +67,8 @@ def projective_module(sys: CoxeterSystem, s: int) -> HeckeModule:
     """
     J = frozenset(range(sys.rank)) - {s}
     para = cx.parabolic(sys, J)
-    position = {w: k for k, w in enumerate(para.max_reps)}
-    action = []
-    for t in range(sys.rank):
-        action.append(tuple(position[cx.e_mul(sys, t, w, side="left")]
-                            for w in para.max_reps))
-    return HeckeModule(sys=sys, labels=para.max_reps, action=tuple(action))
+    return HeckeModule(sys=sys, labels=para.max_reps,
+                       action=cx.folding_action(sys, para))
 
 
 def drop_trivial_summand(module: HeckeModule) -> tuple[HeckeModule, HeckeModule]:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from catkit import boolmat as bm
+from catkit import dcm
 from catkit import permutations as pm
 
 
@@ -148,15 +149,18 @@ def test_interval_fill():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_packing_round_trip(n):
-    cols = bm._column_masks(n)
+    """Round trip, the layout, and the packed generator step against the
+    product with the generator matrix."""
+    step = bm._column_or(n, range(1, n))
     for rows in itertools.product(range(1 << n), repeat=n):
         a = bm.BoolMat(n, rows)
         x = bm._pack(a)
         assert x < 1 << (n * n)
         assert bm._unpack(x, n) == a
-        for j in range(1, n + 1):  # entry (i, j) is bit (i-1)*n + j-1
-            assert x & cols[j - 1] == sum(
-                a.entry(i, j) << ((i - 1) * n + j - 1) for i in range(1, n + 1))
+        assert all(x >> ((i - 1) * n + j - 1) & 1 == a.entry(i, j)
+                   for i in range(1, n + 1) for j in range(1, n + 1))
+        for i in range(1, n):
+            assert bm._unpack(step(x, i), n) == bm.mul(a, dcm.generator(i, n))
 
 
 @given(convex_mats())

@@ -111,6 +111,8 @@ def test_bad_matrices_paths_and_maps_exit_with_a_message(capsys, argv,
     ["export", "--what", "hecke", "--n", "-2"],
     ["export", "--what", "catalan", "--n", "-3"],
     ["dcm", "--n", "3", "count", "--cap", "-3"],
+    ["verify-all", "--n-max", "0"],
+    ["verify-all", "--n-max", "-1"],
     ["repmin", "--dc", "8"],  # A7 exceeds the default cap
     ["dcm", "psi", "1", "--cap", "3"],
     ["dcm", "fiber", "1111,1111,1111,1111", "--cap", "3"],

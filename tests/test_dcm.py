@@ -160,10 +160,10 @@ def test_fiber_analysis():
         assert singleton.maximal == {pm.simple_transposition(i, 3)}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7])
 def test_projection_fibers_equal_the_dc_of_perm_scan(n):
-    """The weak-order pass gives the fibers of the two-route scan, with the
-    same key order and the same member order."""
+    """The 0-Hecke prefix-tree pass gives the fibers of the two-route scan,
+    with the same key order and the same member order."""
     scan = {}
     for w in pm.all_perms(n):
         scan.setdefault(dcm.dc_of_perm(w), []).append(w)

@@ -119,6 +119,15 @@ def test_order_compatibility(n):
                     assert pm.bruhat_leq(hecke.mul(z, u), hecke.mul(z, w))
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_fold_closure_matches_the_product_reference(n):
+    table = hecke.hecke_monoid(n)
+    gens = [pm.simple_transposition(i, n) for i in range(1, n)]
+    reference = generate_monoid(gens, hecke.mul, pm.identity(n))
+    for name in ("elements", "index", "right", "words", "parent", "gens"):
+        assert getattr(table, name) == getattr(reference, name), name
+
+
 @pytest.mark.parametrize("n,count", [(2, 2), (3, 4), (4, 8), (5, 16), (6, 32)])
 def test_idempotent_count(n, count):
     assert len(hecke.idempotents(n)) == count
