@@ -27,27 +27,26 @@ from . import verify
 from .monoid import DEFAULT_CAP, MonoidCapExceeded
 
 
-def _above_zero(flag: str):
-    """The parser of flag; anything but a whole number above 0 ends in a
-    message."""
+def _whole(flag: str, least: int | None = None):
+    """The parser of a numeric flag: an integer, of at least `least` when
+    given; anything else ends in a one-line message and exit status 1."""
+    wanted = ("an integer" if least is None
+              else f"a whole number of at least {least}")
+
     def parse(text: str) -> int:
-        if not text.isdecimal() or int(text) < 1:
-            raise SystemExit(f"{flag} needs a whole number above 0, got {text!r}")
-        return int(text)
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or least is not None and value < least:
+            raise SystemExit(f"{flag} needs {wanted}, got {text!r}")
+        return value
     return parse
 
 
 def _cap(args) -> int:
     """--cap if given, else DEFAULT_CAP; the envelope records only --cap."""
     return DEFAULT_CAP if args.cap is None else args.cap
-
-
-def degree(text: str) -> int:
-    """Parse --n; a negative degree ends in a message."""
-    n = int(text)
-    if n < 0:
-        raise SystemExit(f"--n must be at least 0, got {n}")
-    return n
 
 
 def _check_degree(args, size: int, text: str) -> None:
@@ -296,8 +295,6 @@ def _cmd_coxeter(args) -> int:
 
 def _cmd_repmin(args) -> int:
     if args.dc is not None:
-        if args.dc < 2:
-            raise SystemExit(f"--dc must be at least 2, got {args.dc}")
         _emit(rm.dc_min_dim(args.dc), args)
         return 0
     if args.type:
@@ -352,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hecke", help="products, ideals, foldings")
-    p.add_argument("--n", type=degree)
+    p.add_argument("--n", type=_whole("--n", 0))
     p.add_argument("--mul", nargs=2, metavar=("A", "B"))
     p.add_argument("--ideal", metavar="W")
     p.add_argument("--idempotents", action="store_true")
@@ -360,11 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hecke)
 
     p = sub.add_parser("dcm", help="double Catalan monoid")
-    p.add_argument("--n", type=degree)
+    p.add_argument("--n", type=_whole("--n", 0))
     p.add_argument("action", choices=["psi", "fiber", "count", "self-dual",
                                       "verify-presentation"])
     p.add_argument("argument", nargs="?")
-    p.add_argument("--cap", type=_above_zero("--cap"),
+    p.add_argument("--cap", type=_whole("--cap", 1),
                    help="most elements a closure may hold")
     p.set_defaults(func=_cmd_dcm)
 
@@ -381,27 +378,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quotient", choices=["catalan", "double"])
     p.add_argument("--J", help="comma-separated generator list, e.g. s1,s3")
     p.add_argument("--dot", action="store_true")
-    p.add_argument("--cap", type=_above_zero("--cap"),
+    p.add_argument("--cap", type=_whole("--cap", 1),
                    help="most elements a closure may hold")
     p.set_defaults(func=_cmd_coxeter)
 
     p = sub.add_parser("repmin", help="effective representation dimensions")
     p.add_argument("--type", help="Coxeter type, e.g. A3 or B3")
-    p.add_argument("--dc", type=int, metavar="N",
+    p.add_argument("--dc", type=_whole("--dc", 2), metavar="N",
                    help="check the double Catalan module of degree N")
-    p.add_argument("--mod", type=int, default=None,
+    p.add_argument("--mod", type=_whole("--mod"), default=None,
                    help="rerun socles modulo a prime")
     p.set_defaults(func=_cmd_repmin)
 
     p = sub.add_parser("verify-all", help="run every verification suite")
-    p.add_argument("--n-max", type=_above_zero("--n-max"), default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-max", type=_whole("--n-max", 1), default=4)
+    p.add_argument("--seed", type=_whole("--seed"), default=0)
     p.set_defaults(func=_cmd_verify_all)
 
     p = sub.add_parser("export", help="closure tables and Cayley graphs")
     p.add_argument("--what", choices=["dc", "hecke", "catalan"],
                    required=True)
-    p.add_argument("--n", type=degree, required=True)
+    p.add_argument("--n", type=_whole("--n", 0), required=True)
     p.add_argument("--dot", action="store_true")
     p.set_defaults(func=_cmd_export)
     return parser

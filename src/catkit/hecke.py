@@ -84,8 +84,13 @@ def ideal_product(a: Iterable[Perm], b: Iterable[Perm]) -> frozenset[Perm]:
 
 
 def idempotents(n: int) -> list[Perm]:
-    """All w with z_w idempotent, in lexicographic order; there are 2^(n-1)."""
-    return [w for w in pm.all_perms(n) if mul(w, w) == w]
+    """All w with z_w idempotent, in lexicographic order; there are 2^(n-1).
+
+    Each element of the closure is tested by folding its witness word, a
+    reduced word, into itself through the right Cayley table.
+    """
+    table = hecke_monoid(n)
+    return sorted(table.elements[j] for j in table.idempotent_indices())
 
 
 def hecke_monoid(n: int) -> MonoidTable:

@@ -123,6 +123,14 @@ def test_bad_matrices_paths_and_maps_exit_with_a_message(capsys, argv,
     ["hecke", "--n", "7", "--mul", "231", "312"],
     ["hecke", "--n", "2", "--ideal", "231"],
     ["hecke", "--n", "3", "--fold", "1", "({1,3},{2,4})"],
+    # every numeric flag is read by one parser
+    ["dcm", "--n", "abc", "count"],
+    ["hecke", "--n", "x", "--idempotents"],
+    ["export", "--what", "hecke", "--n", "3.5"],
+    ["verify-all", "--seed", "x"],
+    ["verify-all", "--n-max", "x"],
+    ["repmin", "--dc", "abc"],
+    ["repmin", "--type", "A2", "--mod", "abc"],
 ])
 def test_bad_input_ends_in_a_one_line_message(capsys, argv):
     with pytest.raises(SystemExit) as exc:

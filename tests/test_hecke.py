@@ -133,6 +133,14 @@ def test_idempotent_count(n, count):
     assert len(hecke.idempotents(n)) == count
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_idempotents_match_the_product_reference(n):
+    """The idempotents read from the closure are the w with w * w = w under
+    hecke.mul, in lexicographic order."""
+    assert hecke.idempotents(n) == [w for w in pm.all_perms(n)
+                                    if hecke.mul(w, w) == w]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_idempotents_are_parabolic_longest_elements(n):
     for w in hecke.idempotents(n):
