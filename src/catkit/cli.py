@@ -4,7 +4,7 @@ Command-line frontend.
 Subcommands: hecke, dcm, dyck, coxeter, repmin, verify-all, export.
 JSON reports are schema-stable: sorted keys, a version/config envelope with
 the seed recorded, and no timing data, so identical configurations produce
-byte-identical output.  verify-all exits nonzero on any failing check and
+byte-identical output, in json.dump's sort_keys/indent=2 layout.  verify-all exits nonzero on any failing check and
 serializes the first counterexample to stderr.
 """
 
@@ -14,6 +14,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from . import boolmat as bm
@@ -66,8 +68,86 @@ def _emit(payload: dict, args) -> None:
         },
         "result": payload,
     }
-    json.dump(report, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    write = sys.stdout.write
+    _write_json(report, write)
+    write("\n")
+
+
+def _leaf(value, newline: str) -> str | None:
+    """The JSON text of a value written in one piece: a scalar, an empty
+    container, or a list or tuple of ints only; else None."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) != {int}:  # type, as bool is an int
+            return None
+        inner = newline + "  "
+        return ("[" + inner + ("," + inner).join(map(int.__repr__, value))
+                + newline + "]")
+    if isinstance(value, dict) and not value:
+        return "{}"
+    return None
+
+
+def _write_json(value, write, newline: str = "\n") -> None:
+    """Write value as json.dump(value, sort_keys=True, indent=2) would,
+    byte for byte, one child of a container of containers at a time.
+
+    Tuples and iterators (such as a table's product rows) are written as
+    lists.  Dict keys must be strs; floats and any other type raise
+    TypeError.
+
+    >>> import io
+    >>> out = io.StringIO()
+    >>> _write_json({"b": [1, 2], "a": iter([{}, "\u00e9"])}, out.write)
+    >>> print(out.getvalue())
+    {
+      "a": [
+        {},
+        "\\u00e9"
+      ],
+      "b": [
+        1,
+        2
+      ]
+    }
+    """
+    text = _leaf(value, newline)
+    if text is not None:
+        write(text)
+        return
+    inner = newline + "  "
+    if isinstance(value, dict):
+        # _quote raises TypeError on a key that is not a str
+        opener, closer = "{", "}"
+        pairs = ((_quote(key) + ": ", value[key]) for key in sorted(value))
+    elif isinstance(value, (list, tuple, Iterator)):
+        opener, closer = "[", "]"
+        pairs = (("", item) for item in value)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
+    sep = opener + inner
+    for head, child in pairs:
+        text = _leaf(child, inner)
+        if text is None:
+            write(sep + head)
+            _write_json(child, write, inner)
+        else:
+            write(sep + head + text)
+        sep = "," + inner
+    # an empty iterator: nothing was written, as in json's "[]"
+    write(opener + closer if sep[0] == opener else newline + closer)
 
 
 def _perm_strs(perms) -> list[str]:

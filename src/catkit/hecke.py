@@ -62,21 +62,6 @@ def bruhat_ideal(w: Perm) -> frozenset[Perm]:
     return frozenset(u for u in pm.all_perms(len(w)) if pm.bruhat_leq(u, w))
 
 
-def bruhat_ideal_by_subwords(w: Perm) -> frozenset[Perm]:
-    """Ideal via evaluation of all subwords of one reduced word; test oracle."""
-    word = pm.reduced_word(w)
-    n = len(w)
-    out = {pm.identity(n)}
-    # evaluate all subwords incrementally
-    partials: list[Perm] = [pm.identity(n)]
-    for letter in word:
-        s = pm.simple_transposition(letter, n)
-        extension = [pm.compose(value, s) for value in partials]
-        out.update(extension)
-        partials.extend(extension)
-    return frozenset(out)
-
-
 def ideal_product(a: Iterable[Perm], b: Iterable[Perm]) -> frozenset[Perm]:
     """Elementwise product of subsets of the same symmetric group."""
     bl = list(b)

@@ -30,7 +30,7 @@ closure, so both routes yield comparable tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 
 MAX_PRODUCT_TABLE = 2000  # largest table whose JSON carries all products
@@ -84,16 +84,15 @@ class MonoidTable:
             self._left = left
         return self._left
 
-    def product_table(self) -> list[list[int]]:
-        """table[i][j] = product(i, j), by the prefix rule along each row."""
+    def product_rows(self) -> Iterator[list[int]]:
+        """Row i of the product table, [product(i, j) for every j], for each
+        i in turn, by the prefix rule along the row."""
         right, steps = self.right, self._steps()
-        table = []
         for i in range(len(self)):
             row = [i]
             for p, g in steps:
                 row.append(right[row[p]][g])
-            table.append(row)
-        return table
+            yield row
 
     def two_sided_ideal(self, a: int) -> frozenset[int]:
         """Indices of all elements x*a*y."""
@@ -120,17 +119,19 @@ class MonoidTable:
         return [i for i in range(len(self)) if self.product(i, i) == i]
 
     def to_json_dict(self, element_repr: Callable = str) -> dict:
-        data = {
+        """The table as JSON data.  "product_table" is None above
+        MAX_PRODUCT_TABLE elements, else the one-shot iterator
+        product_rows(), so a writer can stream the rows without holding
+        them all."""
+        return {
             "size": len(self),
             "generators": list(self.gens),
             "elements": [element_repr(x) for x in self.elements],
             "words": [list(word) for word in self.words],
             "right_cayley": [list(row) for row in self.right],
-            "product_table": None,
+            "product_table": (self.product_rows()
+                              if len(self) <= MAX_PRODUCT_TABLE else None),
         }
-        if len(self) <= MAX_PRODUCT_TABLE:
-            data["product_table"] = self.product_table()
-        return data
 
     def right_cayley_dot(self, element_repr: Callable = None) -> str:
         """The right Cayley graph in DOT format, edges labeled g1..gk."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,11 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import catkit
 from catkit import boolmat as bm
 from catkit import dcm
-from catkit.cli import _is_prime, main
+from catkit.cli import _is_prime, _write_json, main
 
 
 def _cli_env():
@@ -372,6 +374,91 @@ def test_reports_are_byte_identical(capsys):
     main(["dcm", "--n", "4", "count"])
     second = capsys.readouterr().out
     assert first == second
+
+
+# sha256 of stdout as json.dump(report, sort_keys=True, indent=2) wrote it,
+# before reports had their own writer
+PINNED_DIGESTS = [
+    (["export", "--what", "catalan", "--n", "6"],
+     "58ed3877f990a3cbecd06a4c51347d5d6eb2e4cc36ec926a3160150797bf339f"),
+    (["export", "--what", "dc", "--n", "5"],
+     "796612da7b608c56de26404bb59211b2d55d85b9c514ea1e1a79d2b749bcae11"),
+    (["verify-all", "--n-max", "4"],
+     "8b1e6b9b007ddbd3ab530d74d8d050f6024682a612a8c1285a69f04b5381d470"),
+    (["coxeter", "--type", "A3", "--quotient", "double", "--J", "s1,s2"],
+     "cb65c571b6962bdee150ca3f2d011fbd9c9112a0cb4bbf0f7636a3f207079836"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_DIGESTS,
+                         ids=[" ".join(argv) for argv, _ in PINNED_DIGESTS])
+def test_reports_keep_their_bytes(capsys, argv, digest):
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert text == json.dumps(json.loads(text), sort_keys=True,
+                              indent=2) + "\n"
+
+
+class Lazy(list):
+    """A list that the writer is handed as an iterator."""
+
+
+def _for_writer(value):
+    """value with every Lazy list turned into a fresh generator."""
+    if isinstance(value, Lazy):
+        return (_for_writer(item) for item in value)
+    if isinstance(value, (list, tuple)):
+        return type(value)(_for_writer(item) for item in value)
+    if isinstance(value, dict):
+        return {key: _for_writer(item) for key, item in value.items()}
+    return value
+
+
+def _plain(value):
+    """value with every Lazy list and tuple turned into a list."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
+
+
+def _written(value) -> str:
+    chunks = []
+    _write_json(value, chunks.append)
+    return "".join(chunks)
+
+
+SCALARS = (st.none() | st.booleans() | st.integers()
+           | st.text(st.characters(blacklist_categories=())))
+JSON_VALUES = st.recursive(
+    SCALARS | st.lists(st.integers() | st.booleans()),
+    lambda children: (st.lists(children)
+                      | st.lists(children).map(tuple)
+                      | st.lists(children).map(Lazy)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=40)
+
+
+@given(JSON_VALUES)
+@example({"": [], "a": [{}, [[]], Lazy(), ()], "\x00\u00e9\U0001f600": "\""})
+@example([True, 1, False, 0, -1, 2 ** 70, None])
+@example(Lazy([Lazy([1, 2]), ("x", "\n\t\x7f\u2028"), {"k": Lazy()}]))
+def test_writer_matches_json(value):
+    expected = json.dumps(_plain(value), sort_keys=True, indent=2)
+    assert _written(_for_writer(value)) == expected
+
+
+@given(JSON_VALUES, st.integers() | st.none() | st.booleans() | st.floats(),
+       st.floats(allow_nan=True))
+def test_writer_refuses_non_string_keys_and_floats(value, key, number):
+    with pytest.raises(TypeError):
+        _written({"a": value, key: 1})
+    with pytest.raises(TypeError):
+        _written([value, {"b": number}])
+    with pytest.raises(TypeError):
+        _written(iter([value, number]))
 
 
 def test_custom_coxeter_from_files(tmp_path, capsys):
