@@ -80,9 +80,14 @@ def mul(a: BoolMat, b: BoolMat) -> BoolMat:
     """Boolean matrix product, i.e. composition of relations."""
     if a.n != b.n:
         raise ValueError(f"degree mismatch: {a.n} != {b.n}")
-    brows = b.rows
+    return BoolMat(a.n, _mul_rows(a.rows, b.rows))
+
+
+def _mul_rows(arows: Sequence[int], brows: Sequence[int]) -> tuple[int, ...]:
+    """The rows of the product of two row tuples of one degree, unchecked:
+    row i ORs the rows of b that row i of a selects."""
     out = []
-    for ra in a.rows:
+    for ra in arows:
         acc = 0
         r = ra
         while r:
@@ -90,7 +95,7 @@ def mul(a: BoolMat, b: BoolMat) -> BoolMat:
             acc |= brows[low.bit_length() - 1]
             r ^= low
         out.append(acc)
-    return BoolMat(a.n, tuple(out))
+    return tuple(out)
 
 
 def _pack(a: BoolMat) -> int:
@@ -125,7 +130,12 @@ def union(a: BoolMat, b: BoolMat) -> BoolMat:
     """Entrywise OR, the semiring sum."""
     if a.n != b.n:
         raise ValueError(f"degree mismatch: {a.n} != {b.n}")
-    return BoolMat(a.n, tuple(x | y for x, y in zip(a.rows, b.rows)))
+    return BoolMat(a.n, _union_rows(a.rows, b.rows))
+
+
+def _union_rows(arows: Sequence[int], brows: Sequence[int]) -> tuple[int, ...]:
+    """The rows of the entrywise OR of two row tuples of one degree."""
+    return tuple([x | y for x, y in zip(arows, brows)])
 
 
 def transpose(a: BoolMat) -> BoolMat:
@@ -152,24 +162,44 @@ def _is_interval_mask(m: int) -> bool:
     return m & (m + 1) == 0
 
 
-def is_reflexive(a: BoolMat) -> bool:
-    return all(row >> i & 1 for i, row in enumerate(a.rows))
-
-
-def _convex_columns(a: BoolMat) -> tuple[int, ...] | None:
-    """The column masks of a convex relation, None for any other relation.
+def _convex_columns(rows: Sequence[int]) -> list[int] | None:
+    """The column masks of the relation with these rows if it is convex,
+    None for any other relation.
 
     Convex means reflexive, with every row and column support an interval.
+    One pass tests the rows and transposes: a reflexive row is an interval
+    [lo, hi) of columns exactly when it equals 2^hi - 2^lo, and it adds its
+    bit to each of those columns.  Every column j then holds row j's bit,
+    so no column is empty.
     """
-    if not (is_reflexive(a) and all(_is_interval_mask(row) for row in a.rows)):
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        lo = (row & -row).bit_length() - 1
+        hi = row.bit_length()
+        if not row >> i & 1 or row != (1 << hi) - (1 << lo):
+            return None
+        bit = 1 << i
+        for j in range(lo, hi):
+            cols[j] |= bit
+    for col in cols:
+        if col & (col + (col & -col)):
+            return None
+    return cols
+
+
+def _map_pair(rows: Sequence[int]) -> tuple[MonotoneMap, MonotoneMap] | None:
+    """The (max, min) pair of the relation with these rows, None when it is
+    not convex."""
+    cols = _convex_columns(rows)
+    if cols is None:
         return None
-    cols = transpose(a).rows
-    return cols if all(_is_interval_mask(col) for col in cols) else None
+    return (tuple(map(int.bit_length, cols)),
+            tuple([(c & -c).bit_length() for c in cols]))
 
 
 def is_convex(a: BoolMat) -> bool:
     """Reflexive, with every row and column support an interval."""
-    return _convex_columns(a) is not None
+    return _map_pair(a.rows) is not None
 
 
 def to_map_pair(a: BoolMat) -> tuple[MonotoneMap, MonotoneMap]:
@@ -178,11 +208,10 @@ def to_map_pair(a: BoolMat) -> tuple[MonotoneMap, MonotoneMap]:
     The columnwise maximum lands in the non-decreasing monoid, the columnwise
     minimum in the non-increasing one.
     """
-    cols = _convex_columns(a)
-    if cols is None:
+    pair = _map_pair(a.rows)
+    if pair is None:
         raise ValueError("matrix is not a convex relation")
-    return (tuple(c.bit_length() for c in cols),
-            tuple((c & -c).bit_length() for c in cols))
+    return pair
 
 
 def from_map_pair(alpha: Sequence[int], beta: Sequence[int]) -> BoolMat:

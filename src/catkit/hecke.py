@@ -15,6 +15,7 @@ against the folding arithmetic.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 from . import permutations as pm
@@ -146,21 +147,15 @@ def format_partition(part: SetPartition) -> str:
     return "(" + ",".join(blocks) + ")"
 
 
+_BLOCK = r"\{[0-9]+(?:,[0-9]+)*\}"
+_PARTITION = re.compile(rf"\({_BLOCK}(?:,{_BLOCK})*\)")
+
+
 def parse_partition(text: str) -> SetPartition:
+    """The inverse of format_partition: "(", then blocks "{v,...}" of
+    decimal values separated by single commas, then ")"; nothing else."""
     text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
+    if not _PARTITION.fullmatch(text):
         raise ValueError(f"bad partition syntax: {text!r}")
-    body = text[1:-1]
-    blocks = []
-    depth = 0
-    cur = ""
-    for ch in body:
-        if ch == "{":
-            depth += 1
-            cur = ""
-        elif ch == "}":
-            depth -= 1
-            blocks.append(frozenset(int(v) for v in cur.split(",") if v))
-        elif depth == 1:
-            cur += ch
-    return make_partition(blocks)
+    return make_partition(frozenset(int(v) for v in block.split(","))
+                          for block in text[2:-2].split("},{"))

@@ -130,11 +130,14 @@ def test_convexity_reader_matches_entrywise_definition(n, reflexive_only,
         assert bm.is_convex(a) == convex
         if convex:
             cols = _supports(a)[1]
-            assert bm.to_map_pair(a) == (tuple(max(c) for c in cols),
-                                         tuple(min(c) for c in cols))
+            pair = bm.to_map_pair(a)
+            assert pair == (tuple(max(c) for c in cols),
+                            tuple(min(c) for c in cols))
+            assert bm._map_pair(rows) == pair
         else:
             with pytest.raises(ValueError, match="not a convex relation"):
                 bm.to_map_pair(a)
+            assert bm._map_pair(rows) is None
     assert seen == count
 
 
@@ -201,3 +204,13 @@ def test_formats():
     assert bm.from_json_dict(bm.to_json_dict(a)) == a
     assert bm.parse_matrix("110,111,011") == a
     assert bm.parse_matrix("110\n111\n011") == a
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=n,
+                         max_size=n))))
+def test_row_strings_round_trip_through_parse_matrix(data):
+    n, rows = data
+    a = bm.BoolMat(n, tuple(rows))
+    for sep in (",", "\n"):
+        assert bm.parse_matrix(sep.join(bm.to_row_strings(a))) == a

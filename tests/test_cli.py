@@ -81,6 +81,8 @@ def test_bad_permutations_exit_with_a_message(capsys, argv):
     (["dyck", "prec", "123", "12x"], "non-decreasing map"),
     (["dyck", "prec", "123", "22"], "different degrees"),
     (["dyck", "path", "321"], "non-decreasing map"),
+    (["hecke", "--fold", "1", "({1}{2})"], "not an ordered set partition"),
+    (["hecke", "--fold", "1", "({1}x,{2})"], "not an ordered set partition"),
 ])
 def test_bad_matrices_paths_and_maps_exit_with_a_message(capsys, argv,
                                                           message):

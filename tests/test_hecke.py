@@ -213,3 +213,29 @@ def test_partition_serialization():
         hecke.make_partition([{1, 2, 3}])
     with pytest.raises(ValueError):
         hecke.make_partition([{1}, {1, 2}])
+
+
+def partitions(n_max=12):
+    """Ordered set partitions of {1..n} into at least two blocks: a word
+    of {1..n} cut at a nonempty set of inner positions."""
+    def cut(word, cuts):
+        ends = sorted(cuts)
+        return hecke.make_partition(
+            word[i:j] for i, j in zip([0, *ends], [*ends, len(word)]))
+    return st.integers(2, n_max).flatmap(lambda n: st.builds(
+        cut, st.permutations(range(1, n + 1)),
+        st.sets(st.integers(1, n - 1), min_size=1)))
+
+
+@given(partitions())
+def test_format_partition_round_trips(part):
+    assert hecke.parse_partition(hecke.format_partition(part)) == part
+
+
+@pytest.mark.parametrize("text", [
+    "({1}{2})", "({1}x,{2})", "({1},,{2})", "({1,,2},{3})", "({},{1})",
+    "({1},{2}", "{1},{2}", "({1}, {2})", "({ 1},{2})", "({+1},{2})",
+    "({1},{2})x", "(({1},{2}))", "({1,2})"])
+def test_parse_partition_refuses_anything_else(text):
+    with pytest.raises(ValueError):
+        hecke.parse_partition(text)

@@ -146,3 +146,11 @@ def test_serialization():
     big = tuple(range(10, 0, -1))
     assert pm.parse_perm(pm.format_perm(big)) == big
     assert "," in pm.format_perm(big)
+
+
+@given(perms(n_max=14))
+def test_format_perm_round_trips(w):
+    """Digit strings up to degree 9, the comma form from degree 10 on."""
+    text = pm.format_perm(w)
+    assert ("," in text) == (len(w) >= 10)
+    assert pm.parse_perm(text) == w

@@ -72,3 +72,60 @@ def test_convex_monoid_iso_fails_on_one_wrong_generator_product(
     assert result.counterexample == {
         "n": 4, "a": bm.to_row_strings(top),
         "generator": bm.to_row_strings(gen), "reason": "not a homomorphism"}
+
+
+@pytest.mark.parametrize("helper", ["_mul_rows", "_union_rows"])
+def test_convex_monoid_iso_records_a_wrong_sample(monkeypatch, helper):
+    """A non-convex product or union on the first sample at n = 5 is a
+    failing record naming both draws, not an exception."""
+    rows_of = getattr(verify.bm, helper)
+
+    def wrong(arows, brows):
+        if len(arows) == 5:
+            return (0,) * 5  # empty, so not convex
+        return rows_of(arows, brows)
+
+    monkeypatch.setattr(verify.bm, helper, wrong)
+    result = verify.check_convex_monoid_iso(5, random.Random(0))
+    assert result.passed is False
+    assert result.counterexample == {
+        "n": 5, "a": ["10000", "11000", "11100", "11111", "01111"],
+        "b": ["11000", "11111", "11111", "11111", "11111"]}
+
+
+def test_convex_monoid_iso_records_a_bad_draw(monkeypatch):
+    """A draw at n = 5 that fills to a non-convex relation, or that
+    from_map_pair refuses, is a failing record, not an exception."""
+    fill = verify.bm.from_map_pair
+
+    def empty(alpha, beta):
+        if len(alpha) == 5:
+            return bm.BoolMat(5, (0,) * 5)
+        return fill(alpha, beta)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify.bm, "from_map_pair", empty)
+        result = verify.check_convex_monoid_iso(5, random.Random(0))
+    assert result.passed is False
+    assert result.counterexample == {
+        "n": 5, "a": ["00000"] * 5, "b": ["00000"] * 5,
+        "reason": "a draw is not convex or fails its round trip"}
+    monkeypatch.setattr(verify, "_random_convex",
+                        lambda n, rng: ((2, 1, 5, 5, 5), (1,) * 5))
+    result = verify.check_convex_monoid_iso(5, random.Random(0))
+    assert result.passed is False
+    assert result.counterexample == {
+        "n": 5, "reason": "sampler: not a non-decreasing map: (2, 1, 5, 5, 5)"}
+
+
+def test_convex_monoid_iso_keeps_its_draw_stream():
+    """Memoising repeated draws changes no draw: the generator ends where
+    it did with a fresh fill per draw, and n_max = 4 draws nothing."""
+    rng = random.Random(0)
+    result = verify.check_convex_monoid_iso(5, rng)
+    assert result.passed
+    assert result.details["samples"] == 10000
+    assert rng.getrandbits(64) == 13016130949669127735
+    rng = random.Random(0)
+    assert verify.check_convex_monoid_iso(4, rng).passed
+    assert rng.getrandbits(64) == random.Random(0).getrandbits(64)
