@@ -1,18 +1,13 @@
 """
 The monoid of binary relations on {1..n} as boolean matrices.
 
-A matrix is stored as one machine integer per row, bit j-1 of rows[i-1]
-being the entry (i, j).  Multiplying over the boolean semiring then reduces
-to OR-ing rows together, which is also exactly how the generators of the
-double Catalan monoid act (left multiplication by I + mat(s_i) replaces rows
-i and i+1 by their common union, right multiplication does the same to
-columns).
-
-The double Catalan generator products pack a matrix further, into one
-n^2-bit integer with rows[i-1] at bit (i-1)*n, so that the entry (i, j) is
-bit (i-1)*n + j-1.  The column mask C_k (k = 0..n-1) has bit k of every row
-set.  Right multiplication by the i-th generator ORs columns i and i+1, the
-bits under C_{i-1} and C_i, so on a packed x it is one step (_column_or):
+A matrix is stored as one n^2-bit integer, row i-1 at bit (i-1)*n, so that
+the entry (i, j) is bit (i-1)*n + j-1.  The column mask C_k (k = 0..n-1)
+has bit k of every row set.  The boolean product then spreads row k of the
+right factor over the rows that column k of the left factor selects, one
+integer multiplication per k.  Right multiplication by the i-th generator
+of the double Catalan monoid ORs columns i and i+1, the bits under C_{i-1}
+and C_i, so it is one step (_column_or):
 
     x | (x & C_i) >> 1 | (x & C_{i-1}) << 1.
 
@@ -25,6 +20,7 @@ fill.  Both directions of that isomorphism live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as _iproduct
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -32,91 +28,104 @@ from .permutations import (MonotoneMap, Perm, is_nondecreasing_map,
                            is_nonincreasing_map)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BoolMat:
-    n: int
-    rows: tuple[int, ...]
+    """A boolean matrix of degree n, built from its rows: bit j-1 of
+    rows[i-1] is the entry (i, j).  It holds the rows as one integer,
+    row i-1 at bit (i-1)*n.
 
-    def __post_init__(self):
-        if len(self.rows) != self.n:
+    >>> BoolMat(2, (0b01, 0b11)).bits == 0b11_01
+    True
+    >>> a = BoolMat(3, (0, 0b100, 0))  # only the entry (2, 3) is set
+    >>> a.bits == 1 << (2 - 1) * 3 + (3 - 1), a.rows, a.entry(2, 3)
+    (True, (0, 4, 0), 1)
+    """
+    n: int
+    bits: int
+
+    def __init__(self, n: int, rows: Sequence[int]):
+        if len(rows) != n:
             raise ValueError("row count does not match degree")
-        mask = (1 << self.n) - 1
-        if any(r & ~mask for r in self.rows):
+        mask = (1 << n) - 1
+        if any(r & ~mask for r in rows):
             raise ValueError("row mask exceeds degree")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bits",
+                           sum(r << (i * n) for i, r in enumerate(rows)))
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Row i-1 as an n-bit integer, bit j-1 being the entry (i, j)."""
+        n, x, mask = self.n, self.bits, (1 << self.n) - 1
+        return tuple([x >> (i * n) & mask for i in range(n)])
 
     def __mul__(self, other: "BoolMat") -> "BoolMat":
         return mul(self, other)
 
     def entry(self, i: int, j: int) -> int:
-        return (self.rows[i - 1] >> (j - 1)) & 1
+        return self.bits >> ((i - 1) * self.n + j - 1) & 1
 
     def column_support(self, j: int) -> frozenset[int]:
         return frozenset(i + 1 for i in range(self.n)
-                         if self.rows[i] >> (j - 1) & 1)
+                         if self.bits >> (i * self.n + j - 1) & 1)
 
     def __str__(self) -> str:
         return "\n".join(to_row_strings(self))
 
 
+_new = object.__new__  # bound once: from_bits wraps every product
+_set = object.__setattr__
+
+
+def from_bits(n: int, bits: int) -> BoolMat:
+    """The matrix of degree n holding bits, unchecked: for integers below
+    2^(n^2) that the code built itself."""
+    a = _new(BoolMat)
+    _set(a, "n", n)
+    _set(a, "bits", bits)
+    return a
+
+
+@lru_cache(maxsize=None)
+def _spaced(n: int, gap: int) -> int:
+    """n set bits, gap apart from bit 0; _spaced(n, n) is the column mask
+    C_0 of degree n."""
+    return sum(1 << (i * gap) for i in range(n))
+
+
 def identity_mat(n: int) -> BoolMat:
-    return BoolMat(n, tuple(1 << i for i in range(n)))
+    return from_bits(n, _spaced(n, n + 1))
 
 
 def all_ones(n: int) -> BoolMat:
-    full = (1 << n) - 1
-    return BoolMat(n, (full,) * n)
+    return from_bits(n, (1 << (n * n)) - 1)
 
 
 def from_perm(w: Perm) -> BoolMat:
     """The permutation matrix with entry (w(j), j) = 1."""
     n = len(w)
-    rows = [0] * n
-    for j, v in enumerate(w):
-        rows[v - 1] |= 1 << j
-    return BoolMat(n, tuple(rows))
+    return from_bits(n, sum(1 << ((v - 1) * n + j) for j, v in enumerate(w)))
 
 
 def mul(a: BoolMat, b: BoolMat) -> BoolMat:
-    """Boolean matrix product, i.e. composition of relations."""
-    if a.n != b.n:
-        raise ValueError(f"degree mismatch: {a.n} != {b.n}")
-    return BoolMat(a.n, _mul_rows(a.rows, b.rows))
-
-
-def _mul_rows(arows: Sequence[int], brows: Sequence[int]) -> tuple[int, ...]:
-    """The rows of the product of two row tuples of one degree, unchecked:
-    row i ORs the rows of b that row i of a selects."""
-    out = []
-    for ra in arows:
-        acc = 0
-        r = ra
-        while r:
-            low = r & -r
-            acc |= brows[low.bit_length() - 1]
-            r ^= low
-        out.append(acc)
-    return tuple(out)
-
-
-def _pack(a: BoolMat) -> int:
-    """The rows of a as one n^2-bit integer, row i-1 at bit (i-1)*n."""
-    x = 0
-    for i, row in enumerate(a.rows):
-        x |= row << (i * a.n)
-    return x
-
-
-def _unpack(x: int, n: int) -> BoolMat:
-    """The matrix of a packed integer, through the validating constructor."""
-    mask = (1 << n) - 1
-    return BoolMat(n, tuple([x >> (i * n) & mask for i in range(n)]))
+    """Boolean matrix product, i.e. composition of relations: row k of b
+    is ORed into every row that column k of a selects."""
+    n = a.n
+    if n != b.n:
+        raise ValueError(f"degree mismatch: {n} != {b.n}")
+    x, y = a.bits, b.bits
+    first, mask = _spaced(n, n), (1 << n) - 1
+    out = 0
+    for k in range(n):
+        out |= (x >> k & first) * (y >> (k * n) & mask)
+    return from_bits(n, out)
 
 
 def _column_or(n: int,
                keys: Iterable[Hashable]) -> Callable[[int, Hashable], int]:
-    """step(x, keys[i-1]) is the packed x times I + the transposition of
+    """step(x, keys[i-1]) is the bits x times I + the transposition of
     columns i and i+1, for i = 1..n-1: columns i and i+1 of x ORed."""
-    first = sum(1 << (i * n) for i in range(n))  # the column mask C_0
+    first = _spaced(n, n)
     masks = {key: (first << i, first << (i - 1))
              for i, key in enumerate(keys, 1)}
 
@@ -130,41 +139,29 @@ def union(a: BoolMat, b: BoolMat) -> BoolMat:
     """Entrywise OR, the semiring sum."""
     if a.n != b.n:
         raise ValueError(f"degree mismatch: {a.n} != {b.n}")
-    return BoolMat(a.n, _union_rows(a.rows, b.rows))
-
-
-def _union_rows(arows: Sequence[int], brows: Sequence[int]) -> tuple[int, ...]:
-    """The rows of the entrywise OR of two row tuples of one degree."""
-    return tuple([x | y for x, y in zip(arows, brows)])
+    return from_bits(a.n, a.bits | b.bits)
 
 
 def transpose(a: BoolMat) -> BoolMat:
-    n = a.n
-    out = [0] * n
-    for i, row in enumerate(a.rows):
-        r = row
-        while r:
-            low = r & -r
-            out[low.bit_length() - 1] |= 1 << i
-            r ^= low
-    return BoolMat(n, tuple(out))
+    """Row k of the transpose gathers column k, whose bits lie n apart:
+    times _spaced(n, n - 1), the bit of row i lands at (n-1)^2 + i, and
+    no two of the n^2 partial products share a bit, so none carries."""
+    n, x = a.n, a.bits
+    first, gather, mask = _spaced(n, n), _spaced(n, n - 1), (1 << n) - 1
+    top = (n - 1) ** 2
+    out = 0
+    for k in range(n):
+        out |= ((x >> k & first) * gather >> top & mask) << (k * n)
+    return from_bits(n, out)
 
 
 def subset_leq(a: BoolMat, b: BoolMat) -> bool:
     """Entrywise containment of relations."""
-    return all(ra & ~rb == 0 for ra, rb in zip(a.rows, b.rows))
+    return a.bits & ~b.bits == 0
 
 
-def _is_interval_mask(m: int) -> bool:
-    if m == 0:
-        return False
-    m >>= (m & -m).bit_length() - 1
-    return m & (m + 1) == 0
-
-
-def _convex_columns(rows: Sequence[int]) -> list[int] | None:
-    """The column masks of the relation with these rows if it is convex,
-    None for any other relation.
+def _convex_columns(a: BoolMat) -> list[int] | None:
+    """The column masks of a if it is convex, None for any other relation.
 
     Convex means reflexive, with every row and column support an interval.
     One pass tests the rows and transposes: a reflexive row is an interval
@@ -172,8 +169,10 @@ def _convex_columns(rows: Sequence[int]) -> list[int] | None:
     bit to each of those columns.  Every column j then holds row j's bit,
     so no column is empty.
     """
-    cols = [0] * len(rows)
-    for i, row in enumerate(rows):
+    n, x, mask = a.n, a.bits, (1 << a.n) - 1
+    cols = [0] * n
+    for i in range(n):
+        row = x >> (i * n) & mask
         lo = (row & -row).bit_length() - 1
         hi = row.bit_length()
         if not row >> i & 1 or row != (1 << hi) - (1 << lo):
@@ -187,10 +186,9 @@ def _convex_columns(rows: Sequence[int]) -> list[int] | None:
     return cols
 
 
-def _map_pair(rows: Sequence[int]) -> tuple[MonotoneMap, MonotoneMap] | None:
-    """The (max, min) pair of the relation with these rows, None when it is
-    not convex."""
-    cols = _convex_columns(rows)
+def _map_pair(a: BoolMat) -> tuple[MonotoneMap, MonotoneMap] | None:
+    """The (max, min) pair of a, None when it is not convex."""
+    cols = _convex_columns(a)
     if cols is None:
         return None
     return (tuple(map(int.bit_length, cols)),
@@ -199,7 +197,7 @@ def _map_pair(rows: Sequence[int]) -> tuple[MonotoneMap, MonotoneMap] | None:
 
 def is_convex(a: BoolMat) -> bool:
     """Reflexive, with every row and column support an interval."""
-    return _map_pair(a.rows) is not None
+    return _map_pair(a) is not None
 
 
 def to_map_pair(a: BoolMat) -> tuple[MonotoneMap, MonotoneMap]:
@@ -208,7 +206,7 @@ def to_map_pair(a: BoolMat) -> tuple[MonotoneMap, MonotoneMap]:
     The columnwise maximum lands in the non-decreasing monoid, the columnwise
     minimum in the non-increasing one.
     """
-    pair = _map_pair(a.rows)
+    pair = _map_pair(a)
     if pair is None:
         raise ValueError("matrix is not a convex relation")
     return pair
@@ -228,11 +226,11 @@ def from_map_pair(alpha: Sequence[int], beta: Sequence[int]) -> BoolMat:
 def _interval_fill(alpha: Sequence[int], beta: Sequence[int]) -> BoolMat:
     """from_map_pair without its checks, for maps monotone by construction."""
     n = len(alpha)
-    rows = [0] * n
-    for j in range(n):
-        for i in range(beta[j] - 1, alpha[j]):
-            rows[i] |= 1 << j
-    return BoolMat(n, tuple(rows))
+    first = _spaced(n, n)
+    # column j holds the bits of C_0 in rows beta(j)..alpha(j), shifted to j
+    return from_bits(n, sum(
+        (first & (1 << hi * n) - (1 << (lo - 1) * n)) << j
+        for j, (hi, lo) in enumerate(zip(alpha, beta))))
 
 
 def enumerate_convex(n: int) -> Iterator[BoolMat]:
@@ -256,8 +254,7 @@ def enumerate_convex(n: int) -> Iterator[BoolMat]:
 # Text and JSON formats.
 
 def to_row_strings(a: BoolMat) -> list[str]:
-    return ["".join("1" if a.rows[i] >> j & 1 else "0" for j in range(a.n))
-            for i in range(a.n)]
+    return [format(row, f"0{a.n}b")[::-1] for row in a.rows]
 
 
 def from_row_strings(lines: Sequence[str]) -> BoolMat:

@@ -339,10 +339,7 @@ def double_catalan_quotient(sys: CoxeterSystem,
     generator per Coxeter generator, acting on the cosets of the J-parabolic."""
     action = coset_action(sys, J)
     m = len(action[0]) if action else 1
-    gens = []
-    for sigma in action:
-        rows = [1 << c for c in range(m)]
-        for j, image in enumerate(sigma):
-            rows[image] |= 1 << j
-        gens.append(bm.BoolMat(m, tuple(rows)))
+    gens = [bm.union(bm.identity_mat(m),
+                     bm.from_perm([image + 1 for image in sigma]))
+            for sigma in action]
     return generate_monoid(gens, bm.mul, bm.identity_mat(m))

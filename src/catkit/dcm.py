@@ -64,14 +64,14 @@ def dc_of_perm(w: Perm) -> BoolMat:
     """The image of the 0-Hecke element of w in the double Catalan monoid.
 
     Computed both as the generator product along a reduced word of w, on
-    packed matrices, and as the interval fill of (prefix maxima, suffix
-    minima); the routes must agree.
+    the bits of the matrices, and as the interval fill of (prefix maxima,
+    suffix minima); the routes must agree.
     """
     n = len(w)
     by_word = reduce(bm._column_or(n, range(1, n)), pm.reduced_word(w),
-                     bm._pack(bm.identity_mat(n)))
+                     bm.identity_mat(n).bits)
     by_fill = bm._interval_fill(pm.ltr_maxima(w), pm.rtl_minima(w))
-    if by_word != bm._pack(by_fill):
+    if by_word != by_fill.bits:
         raise InternalInconsistency(
             f"projection routes disagree for {pm.format_perm(w)}")
     return by_fill
@@ -82,21 +82,16 @@ def dc_monoid(n: int, cap: int = DEFAULT_CAP) -> MonoidTable:
     """Closure table of the double Catalan monoid of degree n; a monoid of
     more than cap elements raises MonoidCapExceeded.
 
-    The closure runs on packed matrices (see boolmat), where right
-    multiplication by the i-th generator ORs columns i and i+1; the
-    elements are unpacked once it is done.
+    The closure runs on the bits of the matrices (see boolmat), where right
+    multiplication by the i-th generator ORs columns i and i+1, so that no
+    product hashes a BoolMat; each element then wraps its bits.
     """
-    gens = [bm._pack(g) for g in generators(n)]
+    gens = [g.bits for g in generators(n)]
     table = generate_monoid(gens, bm._column_or(n, gens),
-                            bm._pack(bm.identity_mat(n)), cap)
-    # Unpack in place, each packed int freed as its matrix replaces it, and
-    # keep the index numbers, which right and parent share: peak memory
-    # stays near that of closing on BoolMat elements.
-    numbers = list(table.index.values())
-    table.index.clear()
-    for k, x in enumerate(table.elements):
-        table.elements[k] = bm._unpack(x, n)
-    table.index = dict(zip(table.elements, numbers))
+                            bm.identity_mat(n).bits, cap)
+    table.elements = [bm.from_bits(n, x) for x in table.elements]
+    # the index numbers are the ones right and parent share
+    table.index = dict(zip(table.elements, table.index.values()))
     return table
 
 
@@ -124,21 +119,21 @@ def projection_fibers(n: int) -> dict[BoolMat, tuple[Perm, ...]]:
     The projection is a monoid homomorphism from the 0-Hecke monoid, so the
     image of each element of its closure is the image of the element's
     parent times the generator of its last letter: the generator-product
-    route along reduced words, with shared prefixes, on packed matrices.
-    Every image is then checked against its interval fill.
+    route along reduced words, with shared prefixes, on the bits of the
+    matrices.  Every image is then checked against its interval fill.
     """
     table = hecke.hecke_monoid(n)
     index, parent, words = table.index, table.parent, table.words
     del table  # free the right table before the images, the words after
     step = bm._column_or(n, range(n - 1))  # letters are generator positions
-    image = [bm._pack(bm.identity_mat(n))]
+    image = [bm.identity_mat(n).bits]
     for j in range(1, len(words)):
         image.append(step(image[parent[j]], words[j][-1]))
     del parent, words
     fibers: dict[BoolMat, list[Perm]] = {}
     for w in pm.all_perms(n):
         x = bm._interval_fill(pm.ltr_maxima(w), pm.rtl_minima(w))
-        if bm._pack(x) != image[index[w]]:
+        if x.bits != image[index[w]]:
             raise InternalInconsistency(
                 f"projection routes disagree for {pm.format_perm(w)}")
         fibers.setdefault(x, []).append(w)
@@ -313,16 +308,14 @@ def motzkin_number(k: int) -> int:
 
 def is_block_all_ones(x: BoolMat) -> bool:
     """Block diagonal with every diagonal block entirely filled."""
+    rows = x.rows
     i = 0
     while i < x.n:
-        row = x.rows[i]
-        if not bm._is_interval_mask(row):
+        row = rows[i]
+        hi = row.bit_length()  # row i must be the block [i, hi) of columns
+        if hi <= i or row != (1 << hi) - (1 << i):
             return False
-        lo = (row & -row).bit_length() - 1
-        hi = row.bit_length()
-        if lo != i:
-            return False
-        if any(x.rows[k] != row for k in range(lo, hi)):
+        if any(rows[k] != row for k in range(i, hi)):
             return False
         i = hi
     return True

@@ -19,6 +19,7 @@ the prefix-maxima / suffix-minima statistics of permutations.
 
 from __future__ import annotations
 
+import re
 from itertools import combinations, permutations as _permutations
 from typing import Iterator, Sequence
 
@@ -302,9 +303,16 @@ def format_perm(w: Sequence[int]) -> str:
     return ",".join(str(v) for v in w)
 
 
+_PERM_TEXT = re.compile(r"[0-9]*|[0-9]+(?:,[0-9]+)+")
+
+
 def parse_perm(text: str) -> Perm:
-    """Parse the value-tuple format; monotone maps share it, so no bijection check."""
+    """Parse the value-tuple format, one ASCII decimal digit per value or
+    values separated by single commas; nothing else.  Monotone maps share
+    it, so no bijection check."""
     text = text.strip()
+    if not _PERM_TEXT.fullmatch(text):
+        raise ValueError(f"bad permutation syntax: {text!r}")
     if "," in text:
         return tuple(int(part) for part in text.split(","))
     return tuple(int(ch) for ch in text)

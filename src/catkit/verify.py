@@ -155,11 +155,10 @@ def check_convex_monoid_iso(n_max: int, rng: random.Random) -> CheckResult:
     word of b, psi(a b) = psi(a) psi(b) for all a and b, both products
     being associative.  So |M| (2n - 2) products stand in for the |M|^2
     pairs.  Beyond n = 4, 10,000 seeded samples per degree test the
-    product, the homomorphism and the union order pair by pair, on row
-    tuples.  Draws repeat (Cat(5)^2 = 1,764 relations against 20,000 draws
-    at n = 5), so each distinct drawn (alpha, beta) is filled, read back
-    and round-tripped once per degree; every sample still reads its own
-    product and union.
+    product, the homomorphism and the union order pair by pair.  Draws
+    repeat (Cat(5)^2 = 1,764 relations against 20,000 draws at n = 5), so
+    each distinct drawn (alpha, beta) is filled, read back and round-tripped
+    once per degree; every sample still reads its own product and union.
     """
     name = "convex-monoid-iso"
     details = {}
@@ -202,7 +201,7 @@ def check_convex_monoid_iso(n_max: int, rng: random.Random) -> CheckResult:
     for n in (5, 6):
         if n > n_max:
             break
-        drawn = {}  # (alpha, beta) -> (rows of its fill, its pair or None)
+        drawn = {}  # (alpha, beta) -> (its fill, the fill's pair or None)
         for _ in range(10_000):
             key_a = _random_convex(n, rng)
             key_b = _random_convex(n, rng)
@@ -215,10 +214,11 @@ def check_convex_monoid_iso(n_max: int, rng: random.Random) -> CheckResult:
                 return _fail(name, {"n": n, "reason": f"sampler: {err}"})
             if pa is None or pb is None:
                 return _fail(name, {
-                    "n": n, "a": _row_strings(a, n), "b": _row_strings(b, n),
+                    "n": n, "a": bm.to_row_strings(a),
+                    "b": bm.to_row_strings(b),
                     "reason": "a draw is not convex or fails its round trip"})
-            pab = bm._map_pair(bm._mul_rows(a, b))
-            pu = bm._map_pair(bm._union_rows(a, b))
+            pab = bm._map_pair(bm.mul(a, b))
+            pu = bm._map_pair(bm.union(a, b))
             ok = (pab is not None
                   and pab == (pm.compose_map(pa[0], pb[0]),
                               pm.compose_map(pa[1], pb[1]))
@@ -226,8 +226,8 @@ def check_convex_monoid_iso(n_max: int, rng: random.Random) -> CheckResult:
                   and all(x <= y for x, y in zip(pa[0], pu[0]))
                   and all(x >= y for x, y in zip(pa[1], pu[1])))
             if not ok:
-                return _fail(name, {"n": n, "a": _row_strings(a, n),
-                                    "b": _row_strings(b, n)})
+                return _fail(name, {"n": n, "a": bm.to_row_strings(a),
+                                    "b": bm.to_row_strings(b)})
             samples += 1
     details["samples"] = samples
     return CheckResult(name, True, details)
@@ -249,25 +249,21 @@ def _random_convex(n: int, rng: random.Random) -> tuple[tuple, tuple]:
     return tuple(alpha), tuple(beta)
 
 
-def _read_draw(key: tuple) -> tuple[tuple[int, ...], tuple | None]:
-    """The rows of the interval fill of a drawn (alpha, beta), with the
-    (max, min) pair read back from them, or None when they are not convex
-    or the pair does not fill to them again.
+def _read_draw(key: tuple) -> tuple[bm.BoolMat, tuple | None]:
+    """The interval fill of a drawn (alpha, beta), with the (max, min) pair
+    read back from it, or None when it is not convex or the pair does not
+    fill to it again.
 
     The pair is key itself when the two are equal, so that a memo of draws
     holds no second copy of it.
     """
-    rows = bm.from_map_pair(*key).rows
-    pair = bm._map_pair(rows)
+    a = bm.from_map_pair(*key)
+    pair = bm._map_pair(a)
     if pair == key:
-        return rows, key
-    if pair is not None and bm.from_map_pair(*pair).rows == rows:
-        return rows, pair
-    return rows, None
-
-
-def _row_strings(rows: tuple[int, ...], n: int) -> list[str]:
-    return bm.to_row_strings(bm.BoolMat(n, rows))
+        return a, key
+    if pair is not None and bm.from_map_pair(*pair) == a:
+        return a, pair
+    return a, None
 
 
 def check_projection_two_routes(n_max: int, rng: random.Random) -> CheckResult:

@@ -17,3 +17,43 @@ def bruhat_ideal_by_subwords(w: pm.Perm) -> frozenset[pm.Perm]:
         out.update(extension)
         partials.extend(extension)
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# Boolean matrices as row tuples: bit j-1 of rows[i-1] is the entry (i, j).
+
+def mul_rows(arows: tuple[int, ...], brows: tuple[int, ...]) -> tuple[int, ...]:
+    """The boolean product: row i ORs the rows of b that row i of a selects."""
+    out = []
+    for ra in arows:
+        acc = 0
+        r = ra
+        while r:
+            low = r & -r
+            acc |= brows[low.bit_length() - 1]
+            r ^= low
+        out.append(acc)
+    return tuple(out)
+
+
+def union_rows(arows: tuple[int, ...], brows: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x | y for x, y in zip(arows, brows))
+
+
+def transpose_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sum(1 << i for i, r in enumerate(rows) if r >> j & 1)
+                 for j in range(len(rows)))
+
+
+def leq_rows(arows: tuple[int, ...], brows: tuple[int, ...]) -> bool:
+    return all(x & ~y == 0 for x, y in zip(arows, brows))
+
+
+def perm_rows(w: pm.Perm) -> tuple[int, ...]:
+    """The rows of the permutation matrix with entry (w(j), j) = 1."""
+    return tuple(sum(1 << j for j, v in enumerate(w) if v == i)
+                 for i in range(1, len(w) + 1))
+
+
+def entry_of_rows(rows: tuple[int, ...], i: int, j: int) -> int:
+    return rows[i - 1] >> (j - 1) & 1

@@ -7,6 +7,8 @@ from catkit import boolmat as bm
 from catkit import dcm
 from catkit import permutations as pm
 
+import oracles
+
 
 def _build_pair(n, seed_a, seed_b):
     alpha = []
@@ -133,11 +135,11 @@ def test_convexity_reader_matches_entrywise_definition(n, reflexive_only,
             pair = bm.to_map_pair(a)
             assert pair == (tuple(max(c) for c in cols),
                             tuple(min(c) for c in cols))
-            assert bm._map_pair(rows) == pair
+            assert bm._map_pair(a) == pair
         else:
             with pytest.raises(ValueError, match="not a convex relation"):
                 bm.to_map_pair(a)
-            assert bm._map_pair(rows) is None
+            assert bm._map_pair(a) is None
     assert seen == count
 
 
@@ -152,18 +154,73 @@ def test_interval_fill():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_packing_round_trip(n):
-    """Round trip, the layout, and the packed generator step against the
-    product with the generator matrix."""
+    """The bit layout, the rows round trip, and the generator step on the
+    bits against the product with the generator matrix."""
     step = bm._column_or(n, range(1, n))
     for rows in itertools.product(range(1 << n), repeat=n):
         a = bm.BoolMat(n, rows)
-        x = bm._pack(a)
-        assert x < 1 << (n * n)
-        assert bm._unpack(x, n) == a
-        assert all(x >> ((i - 1) * n + j - 1) & 1 == a.entry(i, j)
+        x = a.bits
+        assert 0 <= x < 1 << (n * n)
+        assert all(x >> ((i - 1) * n + j - 1) & 1
+                   == oracles.entry_of_rows(rows, i, j)
                    for i in range(1, n + 1) for j in range(1, n + 1))
+        assert a.rows == rows
+        assert bm.from_bits(n, x) == a
         for i in range(1, n):
-            assert bm._unpack(step(x, i), n) == bm.mul(a, dcm.generator(i, n))
+            assert bm.from_bits(n, step(x, i)) == bm.mul(a, dcm.generator(i, n))
+
+
+def _agrees_with_the_row_reference(n, arows, brows, w):
+    """The kernels on bits against the row-tuple reference in oracles."""
+    a, b = bm.BoolMat(n, arows), bm.BoolMat(n, brows)
+    assert bm.mul(a, b).rows == oracles.mul_rows(arows, brows)
+    union = oracles.union_rows(arows, brows)
+    assert bm.union(a, b).rows == union
+    assert bm.transpose(a).rows == oracles.transpose_rows(arows)
+    assert bm.subset_leq(a, b) == oracles.leq_rows(arows, brows)
+    assert bm.subset_leq(a, bm.BoolMat(n, union))
+    assert bm.from_perm(w).rows == oracles.perm_rows(w)
+    assert bm.identity_mat(n).rows == oracles.perm_rows(pm.identity(n))
+    assert all(a.entry(i, j) == oracles.entry_of_rows(arows, i, j)
+               for i in range(1, n + 1) for j in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_kernels_match_the_row_reference_exhaustively(n):
+    matrices = list(itertools.product(range(1 << n), repeat=n))
+    for arows, brows in itertools.product(matrices, repeat=2):
+        for w in pm.all_perms(n):
+            _agrees_with_the_row_reference(n, arows, brows, w)
+
+
+def _row_tuples(n):
+    return st.tuples(*[st.integers(0, (1 << n) - 1)] * n)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), _row_tuples(n), _row_tuples(n),
+    st.permutations(range(1, n + 1)).map(tuple))))
+def test_kernels_match_the_row_reference(data):
+    _agrees_with_the_row_reference(*data)
+
+
+def test_degree_is_part_of_the_value():
+    """Equal bits at different degrees are different matrices."""
+    assert bm.BoolMat(1, (1,)) != bm.BoolMat(2, (1, 0))
+    assert bm.BoolMat(1, (1,)).bits == bm.BoolMat(2, (1, 0)).bits
+    assert len({bm.BoolMat(1, (1,)), bm.BoolMat(2, (1, 0))}) == 2
+
+
+def test_matrices_are_immutable_and_hash_by_value():
+    a = bm.BoolMat(2, (0b01, 0b11))
+    for name, value in (("n", 3), ("bits", 0)):
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+    assert a.bits == 0b1101 and a.rows == (0b01, 0b11)
+    same = [bm.from_bits(2, 0b1101), bm.from_row_strings(["10", "11"]),
+            bm.mul(a, bm.identity_mat(2))]
+    assert all(b == a and hash(b) == hash(a) for b in same)
+    assert {a: 1}[same[0]] == 1
 
 
 @given(convex_mats())

@@ -135,6 +135,10 @@ def test_bad_matrices_paths_and_maps_exit_with_a_message(capsys, argv,
     ["verify-all", "--n-max", "x"],
     ["repmin", "--dc", "abc"],
     ["repmin", "--type", "A2", "--mod", "abc"],
+    # permutations are ASCII digits and single commas, nothing int() allows
+    ["dcm", "psi", "1,+2,3"],
+    ["dcm", "psi", " 2, 1,3"],
+    ["dcm", "psi", "1_0,9,8,7,6,5,4,3,2,1"],
 ])
 def test_bad_input_ends_in_a_one_line_message(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -389,6 +393,14 @@ PINNED_DIGESTS = [
      "8b1e6b9b007ddbd3ab530d74d8d050f6024682a612a8c1285a69f04b5381d470"),
     (["coxeter", "--type", "A3", "--quotient", "double", "--J", "s1,s2"],
      "cb65c571b6962bdee150ca3f2d011fbd9c9112a0cb4bbf0f7636a3f207079836"),
+    (["dcm", "fiber", ",".join(["111111"] * 6)],
+     "9ca39ff3825ffce91248cd21b8138f55c4114d9085fc32e17a5c07f242233719"),
+    (["dcm", "--n", "6", "self-dual"],
+     "7ed64d14e8e86289e0da140f0e23b7fd1a587ef66d70203d79fa3c0606235a81"),
+    (["repmin", "--dc", "5"],
+     "e87468085dfdc69cf3a80c79e8f35ec97033de03ad8c893dd4a51a5c7ff6c8c0"),
+    (["dcm", "psi", "5,2,7,6,1,4,3,12,9,11,8,10"],
+     "fffad577db65da7d771c0c132a279e69f99758fb1763810c6456c48cf43afd7b"),
 ]
 
 

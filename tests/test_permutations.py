@@ -148,6 +148,14 @@ def test_serialization():
     assert "," in pm.format_perm(big)
 
 
+@pytest.mark.parametrize("text", [
+    "1,+2,3", " 2, 1,3", "1_0,9,8,7,6,5,4,3,2,1", "2,-1", "1,,2", ",1",
+    "1,", "1 2", "\u0662\u0661", "2x1"])
+def test_parse_perm_refuses_anything_but_ascii_digits_and_commas(text):
+    with pytest.raises(ValueError, match="bad permutation syntax"):
+        pm.parse_perm(text)
+
+
 @given(perms(n_max=14))
 def test_format_perm_round_trips(w):
     """Digit strings up to degree 9, the comma form from degree 10 on."""

@@ -74,18 +74,18 @@ def test_convex_monoid_iso_fails_on_one_wrong_generator_product(
         "generator": bm.to_row_strings(gen), "reason": "not a homomorphism"}
 
 
-@pytest.mark.parametrize("helper", ["_mul_rows", "_union_rows"])
-def test_convex_monoid_iso_records_a_wrong_sample(monkeypatch, helper):
+@pytest.mark.parametrize("kernel", ["mul", "union"])
+def test_convex_monoid_iso_records_a_wrong_sample(monkeypatch, kernel):
     """A non-convex product or union on the first sample at n = 5 is a
     failing record naming both draws, not an exception."""
-    rows_of = getattr(verify.bm, helper)
+    right = getattr(verify.bm, kernel)
 
-    def wrong(arows, brows):
-        if len(arows) == 5:
-            return (0,) * 5  # empty, so not convex
-        return rows_of(arows, brows)
+    def wrong(a, b):
+        if a.n == 5:
+            return bm.BoolMat(5, (0,) * 5)  # empty, so not convex
+        return right(a, b)
 
-    monkeypatch.setattr(verify.bm, helper, wrong)
+    monkeypatch.setattr(verify.bm, kernel, wrong)
     result = verify.check_convex_monoid_iso(5, random.Random(0))
     assert result.passed is False
     assert result.counterexample == {
