@@ -28,7 +28,10 @@ from .permutations import (MonotoneMap, Perm, is_nondecreasing_map,
                            is_nonincreasing_map)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+# __slots__ is written out, not made by dataclass(slots=True): that copy of
+# the class breaks the frozen __setattr__, which then raises TypeError
+# instead of FrozenInstanceError on a name that is not a field.
+@dataclass(frozen=True, init=False)
 class BoolMat:
     """A boolean matrix of degree n, built from its rows: bit j-1 of
     rows[i-1] is the entry (i, j).  It holds the rows as one integer,
@@ -40,6 +43,7 @@ class BoolMat:
     >>> a.bits == 1 << (2 - 1) * 3 + (3 - 1), a.rows, a.entry(2, 3)
     (True, (0, 4, 0), 1)
     """
+    __slots__ = ("n", "bits")
     n: int
     bits: int
 
@@ -52,6 +56,10 @@ class BoolMat:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits",
                            sum(r << (i * n) for i, r in enumerate(rows)))
+
+    def __reduce__(self):
+        # the default would restore the slots by the frozen __setattr__
+        return from_bits, (self.n, self.bits)
 
     @property
     def rows(self) -> tuple[int, ...]:

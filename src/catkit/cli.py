@@ -4,8 +4,9 @@ Command-line frontend.
 Subcommands: hecke, dcm, dyck, coxeter, repmin, verify-all, export.
 JSON reports are schema-stable: sorted keys, a version/config envelope with
 the seed recorded, and no timing data, so identical configurations produce
-byte-identical output, in json.dump's sort_keys/indent=2 layout.  verify-all exits nonzero on any failing check and
-serializes the first counterexample to stderr.
+byte-identical output, in json.dump's sort_keys/indent=2 layout.
+verify-all exits nonzero on any failing check and serializes the first
+counterexample to stderr.
 """
 
 from __future__ import annotations
@@ -73,9 +74,19 @@ def _emit(payload: dict, args) -> None:
     write("\n")
 
 
-def _leaf(value, newline: str) -> str | None:
+class _IntTexts(dict):
+    """The JSON text of each int, computed on its first lookup.  Only ints
+    proper may be looked up: True == 1 would find the text of 1."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = int.__repr__(value)
+        return text
+
+
+def _leaf(value, newline: str, texts: _IntTexts) -> str | None:
     """The JSON text of a value written in one piece: a scalar, an empty
-    container, or a list or tuple of ints only; else None."""
+    container, or a list or tuple of ints only, their texts read from
+    texts; else None."""
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -92,20 +103,22 @@ def _leaf(value, newline: str) -> str | None:
         if set(map(type, value)) != {int}:  # type, as bool is an int
             return None
         inner = newline + "  "
-        return ("[" + inner + ("," + inner).join(map(int.__repr__, value))
+        return ("[" + inner + ("," + inner).join(map(texts.__getitem__, value))
                 + newline + "]")
     if isinstance(value, dict) and not value:
         return "{}"
     return None
 
 
-def _write_json(value, write, newline: str = "\n") -> None:
+def _write_json(value, write, newline: str = "\n",
+                texts: _IntTexts | None = None) -> None:
     """Write value as json.dump(value, sort_keys=True, indent=2) would,
     byte for byte, one child of a container of containers at a time.
 
     Tuples and iterators (such as a table's product rows) are written as
     lists.  Dict keys must be strs; floats and any other type raise
-    TypeError.
+    TypeError.  The text of each int in a list of ints is made once per
+    top-level call, which passes its memo down to the nested ones.
 
     >>> import io
     >>> out = io.StringIO()
@@ -122,7 +135,9 @@ def _write_json(value, write, newline: str = "\n") -> None:
       ]
     }
     """
-    text = _leaf(value, newline)
+    if texts is None:
+        texts = _IntTexts()
+    text = _leaf(value, newline, texts)
     if text is not None:
         write(text)
         return
@@ -139,10 +154,10 @@ def _write_json(value, write, newline: str = "\n") -> None:
                         "is not JSON serializable")
     sep = opener + inner
     for head, child in pairs:
-        text = _leaf(child, inner)
+        text = _leaf(child, inner, texts)
         if text is None:
             write(sep + head)
-            _write_json(child, write, inner)
+            _write_json(child, write, inner, texts)
         else:
             write(sep + head + text)
         sep = "," + inner

@@ -307,18 +307,20 @@ def motzkin_number(k: int) -> int:
 
 
 def is_block_all_ones(x: BoolMat) -> bool:
-    """Block diagonal with every diagonal block entirely filled."""
-    rows = x.rows
-    i = 0
-    while i < x.n:
-        row = rows[i]
-        hi = row.bit_length()  # row i must be the block [i, hi) of columns
+    """Block diagonal with every diagonal block entirely filled.
+
+    The first row i of each block reads off its columns [i, hi); the
+    matrix must then be the union of the all-ones squares on those blocks."""
+    n, bits, mask = x.n, x.bits, (1 << x.n) - 1
+    blocks = i = 0
+    while i < n:
+        row = bits >> (i * n) & mask
+        hi = row.bit_length()
         if hi <= i or row != (1 << hi) - (1 << i):
             return False
-        if any(rows[k] != row for k in range(i, hi)):
-            return False
+        blocks |= row * bm._spaced(hi - i, n) << (i * n)
         i = hi
-    return True
+    return blocks == bits
 
 
 def dc_idempotents(n: int) -> list[BoolMat]:

@@ -12,12 +12,18 @@ The closure is a prefix tree (Froidure and Pin, "Algorithms for computing
 finite semigroups", 1997): every element j > 0 is its parent, the element
 whose row discovered it, times the last letter g of its word.  Only the
 right Cayley table is stored.  A single product x * j walks j's word
-through it; whole tables follow the prefix rule
+through it.  The left Cayley table, the products g' * j, follows the
+prefix rule
 
-    x * j = (x * parent[j]) * g,
+    g' * j = (g' * parent[j]) * g,
 
-one right-table step per entry.  So does the left Cayley table, the
-products g' * j.  A finite monoid is J-trivial iff it is both R-trivial and
+one right-table step per entry.  The product table follows the same rule
+from the left: if i = parent[i] * g, then
+
+    i * j = parent[i] * (g * j),
+
+so row i is row parent[i] read through column g of the left table, one
+gather per row.  A finite monoid is J-trivial iff it is both R-trivial and
 L-trivial (Pin, "Mathematical Foundations of Automata Theory", on Green's
 relations), that is, iff neither its right nor its left Cayley graph has a
 cycle other than a self-loop.
@@ -30,6 +36,7 @@ closure, so both routes yield comparable tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Hashable, Iterator, Sequence
 
 
@@ -86,13 +93,23 @@ class MonoidTable:
 
     def product_rows(self) -> Iterator[list[int]]:
         """Row i of the product table, [product(i, j) for every j], for each
-        i in turn, by the prefix rule along the row."""
-        right, steps = self.right, self._steps()
-        for i in range(len(self)):
-            row = [i]
-            for p, g in steps:
-                row.append(right[row[p]][g])
-            yield row
+        i in turn: row parent[i] gathered through column g of the left
+        table, g the last letter of i.  A row is kept only until the row of
+        its last child is made."""
+        row = tuple(range(len(self)))
+        yield list(row)
+        # gather[g] runs only when an element besides the identity exists,
+        # so its column holds two or more indices and it returns a tuple
+        gather = [itemgetter(*column) for column in zip(*self.left_table())]
+        last_child = {p: j for j, p in enumerate(self.parent)}
+        live = {0: row}
+        for i, (p, g) in enumerate(self._steps(), 1):
+            row = gather[g](live[p])
+            if last_child[p] == i:
+                del live[p]
+            if i in last_child:
+                live[i] = row
+            yield list(row)
 
     def two_sided_ideal(self, a: int) -> frozenset[int]:
         """Indices of all elements x*a*y."""

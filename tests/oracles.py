@@ -57,3 +57,18 @@ def perm_rows(w: pm.Perm) -> tuple[int, ...]:
 
 def entry_of_rows(rows: tuple[int, ...], i: int, j: int) -> int:
     return rows[i - 1] >> (j - 1) & 1
+
+
+def is_block_all_ones_rows(rows: tuple[int, ...]) -> bool:
+    """Block diagonal with every diagonal block entirely filled: row i is
+    the block [i, hi) of columns, and so is every row below it up to hi."""
+    i = 0
+    while i < len(rows):
+        row = rows[i]
+        hi = row.bit_length()
+        if hi <= i or row != (1 << hi) - (1 << i):
+            return False
+        if any(rows[k] != row for k in range(i, hi)):
+            return False
+        i = hi
+    return True

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -213,14 +215,16 @@ def test_degree_is_part_of_the_value():
 
 def test_matrices_are_immutable_and_hash_by_value():
     a = bm.BoolMat(2, (0b01, 0b11))
-    for name, value in (("n", 3), ("bits", 0)):
-        with pytest.raises(AttributeError):
+    for name, value in (("n", 3), ("bits", 0), ("rows", (0, 0)),
+                        ("colour", "red")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(a, name, value)
     assert a.bits == 0b1101 and a.rows == (0b01, 0b11)
     same = [bm.from_bits(2, 0b1101), bm.from_row_strings(["10", "11"]),
             bm.mul(a, bm.identity_mat(2))]
     assert all(b == a and hash(b) == hash(a) for b in same)
     assert {a: 1}[same[0]] == 1
+    assert pickle.loads(pickle.dumps(a)) == a
 
 
 @given(convex_mats())

@@ -459,6 +459,8 @@ JSON_VALUES = st.recursive(
 @example({"": [], "a": [{}, [[]], Lazy(), ()], "\x00\u00e9\U0001f600": "\""})
 @example([True, 1, False, 0, -1, 2 ** 70, None])
 @example(Lazy([Lazy([1, 2]), ("x", "\n\t\x7f\u2028"), {"k": Lazy()}]))
+@example([[7, 300, 7], Lazy([300, 7]), {"a": (7, 7, -300)}, [300]])
+@example([[1, 1, 0], [True, False], [0, 1], Lazy([False, 1, True, 0])])
 def test_writer_matches_json(value):
     expected = json.dumps(_plain(value), sort_keys=True, indent=2)
     assert _written(_for_writer(value)) == expected

@@ -13,6 +13,8 @@ from catkit.monoid import (MonoidCapExceeded, enumerate_presentation,
                            generate_monoid, generators_match)
 from catkit.verify import check_dc_fibers
 
+import oracles
+
 
 def perms(n_max=6):
     return st.integers(min_value=1, max_value=n_max).flatmap(
@@ -333,6 +335,22 @@ def test_idempotents_are_block_ones(n):
     others = [x for x in dcm.dc_monoid(n).elements
               if dcm.is_block_all_ones(x)]
     assert set(idem) == set(others)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_block_all_ones_matches_the_row_reference_exhaustively(n):
+    for bits in range(1 << (n * n)):
+        x = bm.from_bits(n, bits)
+        assert dcm.is_block_all_ones(x) is oracles.is_block_all_ones_rows(
+            x.rows), x.rows
+
+
+def test_block_all_ones_matches_the_row_reference_on_dc6():
+    elements = dcm.dc_monoid(6).elements
+    found = [x for x in elements
+             if oracles.is_block_all_ones_rows(x.rows)]
+    assert len(found) == 2 ** 5
+    assert [x for x in elements if dcm.is_block_all_ones(x)] == found
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
