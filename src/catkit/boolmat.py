@@ -168,39 +168,29 @@ def subset_leq(a: BoolMat, b: BoolMat) -> bool:
     return a.bits & ~b.bits == 0
 
 
-def _convex_columns(a: BoolMat) -> list[int] | None:
-    """The column masks of a if it is convex, None for any other relation.
-
-    Convex means reflexive, with every row and column support an interval.
-    One pass tests the rows and transposes: a reflexive row is an interval
-    [lo, hi) of columns exactly when it equals 2^hi - 2^lo, and it adds its
-    bit to each of those columns.  Every column j then holds row j's bit,
-    so no column is empty.
-    """
-    n, x, mask = a.n, a.bits, (1 << a.n) - 1
-    cols = [0] * n
-    for i in range(n):
-        row = x >> (i * n) & mask
-        lo = (row & -row).bit_length() - 1
-        hi = row.bit_length()
-        if not row >> i & 1 or row != (1 << hi) - (1 << lo):
-            return None
-        bit = 1 << i
-        for j in range(lo, hi):
-            cols[j] |= bit
-    for col in cols:
-        if col & (col + (col & -col)):
-            return None
-    return cols
-
-
 def _map_pair(a: BoolMat) -> tuple[MonotoneMap, MonotoneMap] | None:
-    """The (max, min) pair of a, None when it is not convex."""
-    cols = _convex_columns(a)
-    if cols is None:
-        return None
-    return (tuple(map(int.bit_length, cols)),
-            tuple([(c & -c).bit_length() for c in cols]))
+    """The (max, min) pair of a, None when it is not convex.
+
+    One pass over k reads row k as x >> k*n & mask and gathers column k
+    as transpose does.  A nonzero v is an interval of bits exactly when
+    v & (v + lowest bit of v) == 0.  Row k must hold its diagonal bit, so
+    column k is not empty, and both must be intervals; column k then
+    spans rows beta(k)..alpha(k), its lowest and highest set bits.
+    """
+    n, x = a.n, a.bits
+    first, gather, mask = _spaced(n, n), _spaced(n, n - 1), (1 << n) - 1
+    top = (n - 1) ** 2
+    alpha, beta = [], []
+    for k in range(n):
+        row = x >> k * n & mask
+        col = (x >> k & first) * gather >> top & mask
+        low = col & -col
+        if (not row >> k & 1 or row & (row + (row & -row))
+                or col & (col + low)):
+            return None
+        alpha.append(col.bit_length())
+        beta.append(low.bit_length())
+    return tuple(alpha), tuple(beta)
 
 
 def is_convex(a: BoolMat) -> bool:

@@ -137,10 +137,6 @@ def chamber_of(w: Perm) -> SetPartition:
     return tuple(frozenset({v}) for v in w)
 
 
-def all_chambers(n: int) -> list[SetPartition]:
-    return [chamber_of(w) for w in pm.all_perms(n)]
-
-
 def format_partition(part: SetPartition) -> str:
     blocks = ("{" + ",".join(str(v) for v in sorted(block)) + "}"
               for block in part)

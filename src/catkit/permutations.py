@@ -123,29 +123,34 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
     return tuple(reversed(letters))
 
 
-def word_to_perm(word: Sequence[int], n: int) -> Perm:
-    """Evaluate a word in the simple transpositions, leftmost letter outermost."""
-    acc = identity(n)
-    for i in word:
-        acc = compose(acc, simple_transposition(i, n))
-    return acc
-
-
 def bruhat_leq(u: Perm, w: Perm) -> bool:
-    """Bruhat order comparison via the prefix dominance criterion.
+    """Bruhat order comparison by the rank criterion on prefix bitmasks.
 
-    u <= w iff for every i the increasing rearrangement of u(1..i) is
-    entrywise <= that of w(1..i); this is equivalent to the subword
-    property of reduced decompositions.
+    u <= w iff for every prefix length i and every value k, no more of
+    u(1..i) than of w(1..i) are >= k (Björner and Brenti, Combinatorics
+    of Coxeter Groups, Thm 2.1.5); this is equivalent to the subword
+    property of reduced decompositions.  The prefixes are kept as
+    bitmasks mu and mw.  Values in both cancel, so the walk goes down the
+    bits of mu ^ mw from the top with a running count, +1 for a value of
+    u and -1 for one of w, and u <= w fails once the count is positive.
+
+    >>> bruhat_leq((2, 3, 1), (3, 2, 1)), bruhat_leq((2, 3, 1), (3, 1, 2))
+    (True, False)
     """
     if len(u) != len(w):
         raise ValueError(f"degree mismatch: {len(u)} != {len(w)}")
-    n = len(u)
-    for i in range(1, n):
-        pu = sorted(u[:i])
-        pw = sorted(w[:i])
-        if any(a > b for a, b in zip(pu, pw)):
-            return False
+    mu = mw = 0
+    for a, b in zip(u, w):
+        mu |= 1 << a
+        mw |= 1 << b
+        diff = mu ^ mw
+        count = 0
+        while diff:
+            bit = 1 << diff.bit_length() - 1
+            count += 1 if mu & bit else -1
+            if count > 0:
+                return False
+            diff ^= bit
     return True
 
 

@@ -234,18 +234,38 @@ def check_convex_monoid_iso(n_max: int, rng: random.Random) -> CheckResult:
 
 
 def _random_convex(n: int, rng: random.Random) -> tuple[tuple, tuple]:
-    """A seeded (max, min) pair of a convex relation of degree n."""
+    """A seeded (max, min) pair of a convex relation of degree n.
+
+    Each value is uniform over the ones that keep the maps monotone,
+    alpha(i) in [max(alpha(i-1), i), n] and beta(i) in [beta(i-1), i],
+    drawn as rng.randint draws it: r = getrandbits(k), k the bit length
+    of the width, redrawn until r < width.  A width of 1 still takes one
+    getrandbits(1).  So the draws, and the generator's state after them,
+    are those of rng.randint(lo, hi), without the Python-level calls
+    through randrange that randint makes for each value.
+    """
+    bits = rng.getrandbits
     alpha = []
     prev = 1
     for i in range(1, n + 1):
-        lo = max(prev, i)
-        alpha.append(rng.randint(lo, n))
-        prev = alpha[-1]
+        lo = prev if prev > i else i
+        width = n - lo + 1
+        k = width.bit_length()
+        r = bits(k)
+        while r >= width:
+            r = bits(k)
+        prev = lo + r
+        alpha.append(prev)
     beta = []
     prev = 1
     for i in range(1, n + 1):
-        beta.append(rng.randint(prev, i))
-        prev = beta[-1]
+        width = i - prev + 1
+        k = width.bit_length()
+        r = bits(k)
+        while r >= width:
+            r = bits(k)
+        prev += r
+        beta.append(prev)
     return tuple(alpha), tuple(beta)
 
 

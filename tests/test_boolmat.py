@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -143,6 +144,57 @@ def test_convexity_reader_matches_entrywise_definition(n, reflexive_only,
                 bm.to_map_pair(a)
             assert bm._map_pair(a) is None
     assert seen == count
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_map_pair_matches_row_reader_on_every_matrix(n):
+    convex = 0
+    for bits in range(1 << (n * n)):
+        a = bm.from_bits(n, bits)
+        pair = bm._map_pair(a)
+        assert pair == oracles.map_pair_by_rows(a)
+        convex += pair is not None
+    assert convex == len(set(bm.enumerate_convex(n)))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_map_pair_matches_row_reader_on_seeded_matrices(n):
+    """Interval fills of seeded convex pairs, their products and unions,
+    a fill with one bit flipped, random matrices with and without the
+    diagonal, and the all-ones matrix without one diagonal bit."""
+    rng = random.Random(n)
+    diag, full = bm.identity_mat(n).bits, (1 << n * n) - 1
+    convex = 0
+    for _ in range(2_000):
+        a = bm.from_map_pair(*oracles.random_convex_by_randint(n, rng))
+        b = bm.from_map_pair(*oracles.random_convex_by_randint(n, rng))
+        noise = rng.getrandbits(n * n)
+        mats = [a, bm.mul(a, b), bm.union(a, b),
+                bm.from_bits(n, a.bits ^ 1 << rng.randrange(n * n)),
+                bm.from_bits(n, noise | diag),
+                bm.from_bits(n, noise & ~diag),
+                bm.from_bits(n, full ^ 1 << rng.randrange(n) * (n + 1))]
+        for m in mats:
+            pair = bm._map_pair(m)
+            assert pair == oracles.map_pair_by_rows(m)
+            convex += pair is not None
+    assert convex > 6_000
+
+
+def test_map_pair_edge_cases():
+    assert bm._map_pair(bm.from_bits(0, 0)) == ((), ())
+    assert bm._map_pair(bm.identity_mat(1)) == ((1,), (1,))
+    assert bm._map_pair(bm.from_bits(1, 0)) is None
+    empty_row = bm.from_row_strings(["100", "000", "001"])
+    # every row and column an interval, but (2, 2) or (3, 3) unset
+    off_diagonal = [bm.from_row_strings(["11", "10"]),
+                    bm.from_row_strings(["111", "111", "110"])]
+    for a in [empty_row] + off_diagonal:
+        assert bm._map_pair(a) is None
+        assert oracles.map_pair_by_rows(a) is None
+        assert not bm.is_convex(a)
+        with pytest.raises(ValueError, match="not a convex relation"):
+            bm.to_map_pair(a)
 
 
 def test_interval_fill():

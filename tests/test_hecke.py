@@ -5,7 +5,7 @@ from catkit import hecke
 from catkit import permutations as pm
 from catkit.monoid import generate_monoid
 
-from oracles import bruhat_ideal_by_subwords
+from oracles import all_chambers, bruhat_ideal_by_subwords
 
 
 def perms(n_max=5):
@@ -186,7 +186,7 @@ def test_fold_matches_chamber_action():
 def test_chamber_action_is_regular(n):
     """Words in the foldings act identically on all chambers exactly when
     they produce the same monoid element."""
-    chambers = hecke.all_chambers(n)
+    chambers = all_chambers(n)
     pos = {c: k for k, c in enumerate(chambers)}
 
     def transformation(i):

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from catkit import permutations as pm
 
-from oracles import bruhat_ideal_by_subwords
+from oracles import (bruhat_ideal_by_subwords, bruhat_leq_by_sorted_prefixes,
+                     word_to_perm)
 
 
 def perms(n_max=6):
@@ -37,16 +40,16 @@ def test_reduced_word_basics():
     assert pm.reduced_word((2, 3, 1)) == (1, 2)
     word = pm.reduced_word((4, 3, 2, 1))
     assert len(word) == 6
-    assert pm.word_to_perm(word, 4) == (4, 3, 2, 1)
+    assert word_to_perm(word, 4) == (4, 3, 2, 1)
     # the classical length-6 word evaluates to the reversal
-    assert pm.word_to_perm((1, 2, 3, 1, 2, 1), 4) == (4, 3, 2, 1)
+    assert word_to_perm((1, 2, 3, 1, 2, 1), 4) == (4, 3, 2, 1)
 
 
 @given(perms())
 def test_reduced_word_roundtrip(w):
     word = pm.reduced_word(w)
     assert len(word) == pm.inversions(w)
-    assert pm.word_to_perm(word, len(w)) == w
+    assert word_to_perm(word, len(w)) == w
 
 
 @given(perms(5))
@@ -74,6 +77,48 @@ def test_bruhat_leq_matches_subword_oracle(n):
         oracle = bruhat_ideal_by_subwords(w)
         for u in pm.all_perms(n):
             assert pm.bruhat_leq(u, w) == (u in oracle)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+def test_bruhat_leq_matches_sorted_prefixes_on_all_pairs(n):
+    perms = list(pm.all_perms(n))
+    for w in perms:
+        for u in perms:
+            assert pm.bruhat_leq(u, w) == bruhat_leq_by_sorted_prefixes(u, w)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_bruhat_leq_matches_sorted_prefixes_on_seeded_pairs(n):
+    """20,000 seeded pairs, half of them with u a random product of
+    adjacent swaps applied to w, so that u <= w holds often enough."""
+    rng = random.Random(n)
+    values = list(range(1, n + 1))
+    agree = below = 0
+    for k in range(20_000):
+        w = tuple(rng.sample(values, n))
+        if k % 2:
+            u = list(w)
+            for _ in range(rng.randrange(n * n)):
+                i = rng.randrange(n - 1)
+                if u[i] > u[i + 1]:
+                    u[i], u[i + 1] = u[i + 1], u[i]
+            u = tuple(u)
+        else:
+            u = tuple(rng.sample(values, n))
+        got = pm.bruhat_leq(u, w)
+        agree += got == bruhat_leq_by_sorted_prefixes(u, w)
+        below += got
+    assert agree == 20_000
+    assert below > 5_000
+
+
+def test_bruhat_leq_edge_cases():
+    assert pm.bruhat_leq((), ())
+    assert pm.bruhat_leq((1,), (1,))
+    with pytest.raises(ValueError, match="degree mismatch: 2 != 3"):
+        pm.bruhat_leq((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError, match="degree mismatch: 0 != 1"):
+        pm.bruhat_leq((), (1,))
 
 
 def test_contains_pattern():

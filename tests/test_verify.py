@@ -7,6 +7,8 @@ from catkit import boolmat as bm
 from catkit import verify
 from catkit.verify import ALL_CHECKS, run_verify_all
 
+from oracles import random_convex_by_randint
+
 
 def test_degenerate_degree_one():
     report = run_verify_all(n_max=1)
@@ -129,3 +131,16 @@ def test_convex_monoid_iso_keeps_its_draw_stream():
     rng = random.Random(0)
     assert verify.check_convex_monoid_iso(4, rng).passed
     assert rng.getrandbits(64) == random.Random(0).getrandbits(64)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("seed", range(10))
+def test_random_convex_keeps_the_randint_stream(seed, n):
+    """The sampler's getrandbits draws are rng.randint's: the same pairs,
+    and the generator in the same state after them."""
+    routes = []
+    for sampler in (verify._random_convex, random_convex_by_randint):
+        rng = random.Random(seed)
+        pairs = [sampler(n, rng) for _ in range(500)]
+        routes.append((pairs, rng.getrandbits(64)))
+    assert routes[0] == routes[1]
