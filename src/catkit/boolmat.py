@@ -105,10 +105,6 @@ def identity_mat(n: int) -> BoolMat:
     return from_bits(n, _spaced(n, n + 1))
 
 
-def all_ones(n: int) -> BoolMat:
-    return from_bits(n, (1 << (n * n)) - 1)
-
-
 def from_perm(w: Perm) -> BoolMat:
     """The permutation matrix with entry (w(j), j) = 1."""
     n = len(w)
@@ -161,11 +157,6 @@ def transpose(a: BoolMat) -> BoolMat:
     for k in range(n):
         out |= ((x >> k & first) * gather >> top & mask) << (k * n)
     return from_bits(n, out)
-
-
-def subset_leq(a: BoolMat, b: BoolMat) -> bool:
-    """Entrywise containment of relations."""
-    return a.bits & ~b.bits == 0
 
 
 def _map_pair(a: BoolMat) -> tuple[MonotoneMap, MonotoneMap] | None:
@@ -268,13 +259,6 @@ def from_row_strings(lines: Sequence[str]) -> BoolMat:
 
 def to_json_dict(a: BoolMat) -> dict:
     return {"n": a.n, "rows": to_row_strings(a)}
-
-
-def from_json_dict(data: dict) -> BoolMat:
-    mat = from_row_strings(data["rows"])
-    if mat.n != data["n"]:
-        raise ValueError("degree field does not match rows")
-    return mat
 
 
 def parse_matrix(text: str) -> BoolMat:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from . import boolmat as bm
-from .monoid import DEFAULT_CAP, MonoidTable, generate_monoid
+from .monoid import DEFAULT_CAP, MonoidTable, gather, generate_monoid
 
 CarrierPerm = tuple[int, ...]  # permutation of 0..m-1, value at index
 
@@ -64,6 +64,11 @@ class CoxeterSystem:
     words: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
     left: tuple[tuple[int, ...], ...]
+    # per element, bit s set iff s is a right descent / a letter of its words
+    descent_mask: tuple[int, ...] = field(hash=False, compare=False,
+                                          repr=False)
+    support_mask: tuple[int, ...] = field(hash=False, compare=False,
+                                          repr=False)
 
     @property
     def rank(self) -> int:
@@ -134,15 +139,26 @@ def coxeter_system(gen_perms: list[CarrierPerm],
                 f"got orders {orders}")
     matrix_t = tuple(tuple(row) for row in orders)
 
-    table = generate_monoid(gens, _compose, tuple(range(carrier)), cap)
+    # x * g is x read through g: one gather per product
+    act = {g: gather(g) for g in gens}
+    table = generate_monoid(gens, lambda x, g: act[g](x),
+                            tuple(range(carrier)), cap)
     length = tuple(len(w) for w in table.words)  # closure words are reduced
     if len(length) > 1 and length[-1] == length[-2]:
         raise CoxeterError("longest element is not unique; group not Coxeter?")
+    right = tuple(tuple(row) for row in table.right)
+    descent_mask = tuple(
+        sum(1 << s for s, j in enumerate(row) if length[j] < length[i])
+        for i, row in enumerate(right))
+    support_mask = [0]
+    for p, word in zip(table.parent[1:], table.words[1:]):
+        support_mask.append(support_mask[p] | 1 << word[-1])
     return CoxeterSystem(name=name, gen_perms=gens, matrix=matrix_t,
                          elements=tuple(table.elements), index=table.index,
-                         length=length, words=tuple(table.words),
-                         right=tuple(tuple(row) for row in table.right),
-                         left=tuple(tuple(row) for row in table.left_table()))
+                         length=length, words=tuple(table.words), right=right,
+                         left=tuple(tuple(row) for row in table.left_table()),
+                         descent_mask=descent_mask,
+                         support_mask=tuple(support_mask))
 
 
 def type_a(rank: int, cap: int = DEFAULT_CAP) -> CoxeterSystem:
@@ -246,15 +262,17 @@ def parabolic(sys: CoxeterSystem, J: frozenset[int] | set[int]) -> Parabolic:
     J = frozenset(J)
     if any(not 0 <= s < sys.rank for s in J):
         raise ValueError("generator index out of range")
+    mask = sum(1 << s for s in J)
     # All reduced words of an element use the same letters, and closure
     # words are reduced, so the subgroup is the elements spelled in J; the
-    # last of them in closure order is the longest.
-    member_tuple = tuple(i for i, word in enumerate(sys.words)
-                         if J.issuperset(word))
+    # last of them in closure order is the longest.  The longest coset
+    # representatives are the elements whose right descents contain J
+    # (Björner and Brenti, Combinatorics of Coxeter Groups, Prop. 2.4.4).
+    member_tuple = tuple(i for i, m in enumerate(sys.support_mask)
+                         if m | mask == mask)
     longest = member_tuple[-1]
-    length, right = sys.length, sys.right
-    max_reps = tuple(i for i in range(sys.order)
-                     if all(length[right[i][s]] < length[i] for s in J))
+    max_reps = tuple(i for i, m in enumerate(sys.descent_mask)
+                     if m & mask == mask)
     if len(max_reps) * len(member_tuple) != sys.order:
         raise RuntimeError("coset representative count inconsistent")
     return Parabolic(J=J, members=member_tuple, longest=longest,

@@ -47,6 +47,15 @@ MAX_PRODUCT_TABLE = 2000  # largest table whose JSON carries all products
 DEFAULT_CAP = 2 ** 15
 
 
+def gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The map row -> tuple(row[k] for k in indices) as one itemgetter
+    call; itemgetter of a single index returns the bare item, so fewer
+    than two indices fall back to a tuple comprehension."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda row: tuple(row[k] for k in indices)
+
+
 class MonoidCapExceeded(RuntimeError):
     """A closure would hold more than cap elements at once; for Todd-Coxeter
     enumeration the elements are the live nodes."""
@@ -98,13 +107,11 @@ class MonoidTable:
         its last child is made."""
         row = tuple(range(len(self)))
         yield list(row)
-        # gather[g] runs only when an element besides the identity exists,
-        # so its column holds two or more indices and it returns a tuple
-        gather = [itemgetter(*column) for column in zip(*self.left_table())]
+        through = [gather(column) for column in zip(*self.left_table())]
         last_child = {p: j for j, p in enumerate(self.parent)}
         live = {0: row}
         for i, (p, g) in enumerate(self._steps(), 1):
-            row = gather[g](live[p])
+            row = through[g](live[p])
             if last_child[p] == i:
                 del live[p]
             if i in last_child:

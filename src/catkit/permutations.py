@@ -255,23 +255,6 @@ def all_nondecreasing_maps(n: int) -> Iterator[MonotoneMap]:
     return rec([])
 
 
-def all_nonincreasing_maps(n: int) -> Iterator[MonotoneMap]:
-    """All order preserving non-increasing self-maps of {1..n}, lex order."""
-
-    def rec(prefix: list[int]) -> Iterator[MonotoneMap]:
-        i = len(prefix)
-        if i == n:
-            yield tuple(prefix)
-            return
-        lo = prefix[-1] if prefix else 1
-        for v in range(lo, i + 2):
-            prefix.append(v)
-            yield from rec(prefix)
-            prefix.pop()
-
-    return rec([])
-
-
 def min_perm_with_maxima(alpha: Sequence[int]) -> Perm:
     """The 321-avoiding permutation whose prefix maxima equal alpha.
 

@@ -16,10 +16,11 @@ is divided by the gcd of its entries.  Nullspaces come out in a canonical
 basis that depends only on the row space, so reports are reproducible; an
 optional prime modulus reruns the same elimination in characteristic p as
 a spot check (the action matrices are 0/1, so the answers are
-characteristic-free).
+characteristic-free).  The socle never builds a dense matrix: each piece
+is a nullspace on the coordinates its generators fix.
 
-Effectiveness checks multiply column maps along reduced words, caching one
-matrix per group element by dynamic programming over the element table.
+Effectiveness checks compose column maps along reduced words, one gather
+per group element by dynamic programming over the element table.
 """
 
 from __future__ import annotations
@@ -32,12 +33,9 @@ from typing import Sequence
 from . import coxeter as cx
 from . import dcm
 from .coxeter import CoxeterSystem
+from .monoid import gather
 
 ColumnMap = tuple  # tuple[int | None, ...]
-
-
-def _compose_colmap(outer: ColumnMap, inner: ColumnMap) -> ColumnMap:
-    return tuple(None if v is None else outer[v] for v in inner)
 
 
 @dataclass(frozen=True)
@@ -49,14 +47,6 @@ class HeckeModule:
     @property
     def dim(self) -> int:
         return len(self.labels)
-
-    def matrix(self, s: int) -> list[list[int]]:
-        """Dense 0/1 matrix of the s-th generator."""
-        m = [[0] * self.dim for _ in range(self.dim)]
-        for j, i in enumerate(self.action[s]):
-            if i is not None:
-                m[i][j] = 1
-        return m
 
 
 def projective_module(sys: CoxeterSystem, s: int) -> HeckeModule:
@@ -280,24 +270,58 @@ SocleReport = dict  # frozenset of generator indices -> list of basis vectors
 def socle(module: HeckeModule, p: int | None = None) -> SocleReport:
     """For each generator subset J, the space of vectors fixed by the
     J-generators and killed by the rest; nonzero pieces assembled into the
-    socle report."""
-    sys = module.sys
-    d = module.dim
+    socle report.
+
+    A generator t acts by an idempotent column map, so its fixed space is
+    the coordinate subspace on the points t fixes, and its kernel is cut
+    out by one 0/1 row per image point i: the sum of v_j over the j with
+    t(j) = i is 0.  The J-piece is therefore the nullspace of the kernel
+    rows of the t outside J, restricted to S_J, the points fixed by every
+    t in J.  Each coordinate k outside S_J is a pivot of the full system,
+    whose row space holds the unit row e_k, and the pivots inside S_J are
+    those of the restricted rows.  The canonical basis of nullspace
+    depends only on the null space and the column order, so re-embedding
+    the restricted basis gives exactly the vectors of the full system,
+    over the rationals and mod p.
+    """
+    rank, d = module.sys.rank, module.dim
+    fixed = []  # bit j set iff t fixes j
+    for colmap in module.action:
+        if any(i is not None and colmap[i] != i for i in colmap):
+            raise RuntimeError("generator action not idempotent")
+        fixed.append(sum(1 << j for j, i in enumerate(colmap) if i == j))
     report: SocleReport = {}
-    mats = [module.matrix(t) for t in range(sys.rank)]
-    for mask in range(1 << sys.rank):
-        J = frozenset(s for s in range(sys.rank) if mask >> s & 1)
+    for mask in range(1 << rank):
+        J = frozenset(s for s in range(rank) if mask >> s & 1)
+        common = (1 << d) - 1
+        for t in J:
+            common &= fixed[t]
+        support = [j for j in range(d) if common >> j & 1]
         rows = []
-        for t, mat in enumerate(mats):
-            for i in range(d):
-                row = list(mat[i])
-                if t in J:
-                    row[i] -= 1
+        for t, colmap in enumerate(module.action):
+            if t in J:
+                continue
+            by_image: dict[int, list[int]] = {}
+            for c, j in enumerate(support):
+                i = colmap[j]
+                if i is not None:
+                    by_image.setdefault(i, []).append(c)
+            for cols in by_image.values():
+                row = [0] * len(support)
+                for c in cols:
+                    row[c] = 1
                 rows.append(row)
-        basis = nullspace(rows, d, p)
+        basis = nullspace(rows, len(support), p)
         if basis:
-            report[J] = basis
+            report[J] = [_embed(vec, support, d) for vec in basis]
     return report
+
+
+def _embed(vec: list, support: list[int], d: int) -> list:
+    out = [0] * d
+    for j, x in zip(support, vec):
+        out[j] = x
+    return out
 
 
 def socle_dimension(report: SocleReport) -> int:
@@ -307,15 +331,23 @@ def socle_dimension(report: SocleReport) -> int:
 # ---------------------------------------------------------------------------
 # Element matrices and effectiveness.
 
-def element_column_maps(sys: CoxeterSystem, module: HeckeModule) -> list[ColumnMap]:
+def element_column_maps(sys: CoxeterSystem,
+                        module: HeckeModule) -> list[tuple[int, ...]]:
     """Column map of every 0-Hecke element, by DP along the element table:
     element i is its parent times s, the last letter of its word, and the
-    generators are involutions, so the parent is element i times s."""
-    ident = tuple(range(module.dim))
-    maps: list[ColumnMap] = [ident] * sys.order
+    generators are involutions, so the parent is element i times s.
+
+    A map is a tuple of dim + 1 indices, the sentinel dim standing for the
+    zero vector and mapped to itself, so that each element's map is one
+    gather of its parent's map through the action of s.
+    """
+    d = module.dim
+    act = [gather([d if i is None else i for i in colmap] + [d])
+           for colmap in module.action]
+    maps: list[tuple[int, ...]] = [tuple(range(d + 1))] * sys.order
     for i in range(1, sys.order):
         s = sys.words[i][-1]
-        maps[i] = _compose_colmap(maps[sys.right[i][s]], module.action[s])
+        maps[i] = act[s](maps[sys.right[i][s]])
     return maps
 
 

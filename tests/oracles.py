@@ -1,9 +1,14 @@
 """Slow, independent references that tests compare the library against."""
 
 import random
+from typing import Iterator
 
+from catkit import boolmat as bm
+from catkit import coxeter as cx
 from catkit import hecke
 from catkit import permutations as pm
+from catkit import repmin as rm
+from catkit.monoid import generate_monoid
 
 
 def word_to_perm(word, n: int) -> pm.Perm:
@@ -17,6 +22,23 @@ def word_to_perm(word, n: int) -> pm.Perm:
 def all_chambers(n: int) -> list[hecke.SetPartition]:
     """The chambers of all of S_n, in the order of pm.all_perms."""
     return [hecke.chamber_of(w) for w in pm.all_perms(n)]
+
+
+def all_nonincreasing_maps(n: int) -> Iterator[pm.MonotoneMap]:
+    """All order preserving non-increasing self-maps of {1..n}, lex order."""
+
+    def rec(prefix: list[int]) -> Iterator[pm.MonotoneMap]:
+        i = len(prefix)
+        if i == n:
+            yield tuple(prefix)
+            return
+        lo = prefix[-1] if prefix else 1
+        for v in range(lo, i + 2):
+            prefix.append(v)
+            yield from rec(prefix)
+            prefix.pop()
+
+    return rec([])
 
 
 def bruhat_leq_by_sorted_prefixes(u: pm.Perm, w: pm.Perm) -> bool:
@@ -46,6 +68,25 @@ def bruhat_ideal_by_subwords(w: pm.Perm) -> frozenset[pm.Perm]:
         out.update(extension)
         partials.extend(extension)
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# BoolMat helpers only the tests use.
+
+def all_ones(n: int) -> bm.BoolMat:
+    return bm.from_bits(n, (1 << (n * n)) - 1)
+
+
+def subset_leq(a: bm.BoolMat, b: bm.BoolMat) -> bool:
+    """Entrywise containment of relations."""
+    return a.bits & ~b.bits == 0
+
+
+def from_json_dict(data: dict) -> bm.BoolMat:
+    mat = bm.from_row_strings(data["rows"])
+    if mat.n != data["n"]:
+        raise ValueError("degree field does not match rows")
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -145,3 +186,79 @@ def random_convex_by_randint(n: int, rng: random.Random) -> tuple[tuple, tuple]:
         beta.append(rng.randint(prev, i))
         prev = beta[-1]
     return tuple(alpha), tuple(beta)
+
+
+# ---------------------------------------------------------------------------
+# Coxeter tables by composing tuples, parabolics by scanning words.
+
+def coxeter_tables_by_compose(gens) -> dict:
+    """The closure of gens under cx._compose, one generator expression per
+    product, as the CoxeterSystem fields it determines."""
+    carrier = len(gens[0]) if gens else 0
+    table = generate_monoid(gens, cx._compose, tuple(range(carrier)))
+    return {"elements": tuple(table.elements),
+            "words": tuple(table.words),
+            "length": tuple(len(w) for w in table.words),
+            "right": tuple(tuple(row) for row in table.right),
+            "left": tuple(tuple(row) for row in table.left_table())}
+
+
+def parabolic_by_word_scan(sys: cx.CoxeterSystem, J) -> cx.Parabolic:
+    """The J-parabolic: the elements spelled in J, and the elements whose
+    every J-neighbor on the right is shorter."""
+    J = frozenset(J)
+    members = tuple(i for i, word in enumerate(sys.words)
+                    if J.issuperset(word))
+    length, right = sys.length, sys.right
+    max_reps = tuple(i for i in range(sys.order)
+                     if all(length[right[i][s]] < length[i] for s in J))
+    return cx.Parabolic(J=J, members=members, longest=members[-1],
+                        max_reps=max_reps)
+
+
+# ---------------------------------------------------------------------------
+# Hecke modules by dense matrices and column maps with None.
+
+def compose_colmap(outer: rm.ColumnMap, inner: rm.ColumnMap) -> rm.ColumnMap:
+    return tuple(None if v is None else outer[v] for v in inner)
+
+
+def element_column_maps_by_fold(sys: cx.CoxeterSystem,
+                                module: rm.HeckeModule) -> list[rm.ColumnMap]:
+    """Each element's column map, None for the zero vector: its parent's
+    map composed with the action of its last letter."""
+    maps = [tuple(range(module.dim))] * sys.order
+    for i in range(1, sys.order):
+        s = sys.words[i][-1]
+        maps[i] = compose_colmap(maps[sys.right[i][s]], module.action[s])
+    return maps
+
+
+def dense_matrix(module: rm.HeckeModule, s: int) -> list[list[int]]:
+    """Dense 0/1 matrix of the s-th generator."""
+    m = [[0] * module.dim for _ in range(module.dim)]
+    for j, i in enumerate(module.action[s]):
+        if i is not None:
+            m[i][j] = 1
+    return m
+
+
+def socle_by_dense_rows(module: rm.HeckeModule, p=None) -> rm.SocleReport:
+    """For each J, the nullspace of the rank * dim by dim system stacking
+    e_t - 1 for t in J and e_t for t outside J."""
+    rank, d = module.sys.rank, module.dim
+    report = {}
+    mats = [dense_matrix(module, t) for t in range(rank)]
+    for mask in range(1 << rank):
+        J = frozenset(s for s in range(rank) if mask >> s & 1)
+        rows = []
+        for t, mat in enumerate(mats):
+            for i in range(d):
+                row = list(mat[i])
+                if t in J:
+                    row[i] -= 1
+                rows.append(row)
+        basis = rm.nullspace(rows, d, p)
+        if basis:
+            report[J] = basis
+    return report

@@ -26,6 +26,8 @@ from catkit import permutations as pm
 from catkit import repmin as rm
 from catkit.monoid import generate_monoid, generators_match
 
+from oracles import subset_leq
+
 
 @contextmanager
 def criterion(num, name, limit=None):
@@ -115,7 +117,7 @@ def test_06_convex_isomorphism():
                     assert pairs[ab] == (
                         pm.compose_map(pairs[a][0], pairs[b][0]),
                         pm.compose_map(pairs[a][1], pairs[b][1]))
-                    if bm.subset_leq(a, b):
+                    if subset_leq(a, b):
                         assert all(x <= y for x, y in
                                    zip(pairs[a][0], pairs[b][0]))
                         assert all(x >= y for x, y in

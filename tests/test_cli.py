@@ -487,6 +487,14 @@ def test_custom_coxeter_from_files(tmp_path, capsys):
     assert report["result"]["order"] == 6
 
 
+def test_one_point_coxeter_from_a_file(tmp_path, capsys):
+    gens = tmp_path / "gens.txt"
+    gens.write_text("0\n")
+    _, report = run_cli(capsys, "coxeter", "--gens", str(gens))
+    result = report["result"]
+    assert (result["order"], result["rank"], result["vertex_count"]) == (1, 1, 1)
+
+
 def test_verify_all_failure_reports_counterexample(capsys, monkeypatch):
     from catkit import verify
 

@@ -4,6 +4,8 @@ from catkit import coxeter as cx
 from catkit import dcm
 from catkit.monoid import MonoidCapExceeded, generators_match
 
+import oracles
+
 
 @pytest.mark.parametrize("build,order,top_len", [
     (lambda: cx.type_a(1), 2, 1),
@@ -264,3 +266,46 @@ def test_bruhat_order_on_system():
                     assert cx.bruhat_leq(sys,
                                          cx.coset_max_rep(sys, para, u),
                                          cx.coset_max_rep(sys, para, w))
+
+
+# ---------------------------------------------------------------------------
+# Closure by gather and parabolics by masks, against their references.
+
+CLOSURE_SPECS = ([f"A{k}" for k in range(7)] + [f"B{k}" for k in range(1, 5)]
+                 + [f"I2:{m}" for m in range(2, 13)]
+                 + [((0,),), ((1, 0, 2), (0, 2, 1)),
+                    ((1, 0, 2, 3), (0, 1, 3, 2))])
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS, ids=str)
+def test_closure_by_gather_matches_compose(spec):
+    sys = (cx.from_type_string(spec) if isinstance(spec, str)
+           else cx.coxeter_system(spec, name="custom"))
+    want = oracles.coxeter_tables_by_compose(sys.gen_perms)
+    for name, value in want.items():
+        assert getattr(sys, name) == value, name
+    assert sys.index == {x: i for i, x in enumerate(want["elements"])}
+    for i in range(sys.order):
+        assert sys.descent_mask[i] == sum(1 << s for s in sys.right_descents(i))
+        assert sys.support_mask[i] == sum(1 << s for s in set(sys.words[i]))
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "I2:6"])
+def test_parabolic_by_masks_matches_the_word_scan(name):
+    sys = cx.from_type_string(name)
+    for mask in range(1 << sys.rank):
+        J = frozenset(s for s in range(sys.rank) if mask >> s & 1)
+        assert cx.parabolic(sys, J) == oracles.parabolic_by_word_scan(sys, J)
+
+
+def test_one_point_and_empty_carriers_build():
+    """The gather of a one-point generator still yields tuples."""
+    point = cx.coxeter_system([(0,)], name="custom")
+    assert (point.order, point.rank) == (1, 1)
+    assert point.elements == ((0,),)
+    assert point.right == point.left == ((0,),)
+    assert cx.parabolic(point, set()).max_reps == (0,)
+    assert cx.vertex_count(point) == 1
+    a0 = cx.type_a(0)
+    assert (a0.order, a0.rank, a0.elements) == (1, 0, ((),))
+    assert cx.vertex_count(a0) == 0

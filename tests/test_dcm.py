@@ -26,7 +26,7 @@ def test_generator_matrices():
     assert bm.to_row_strings(eps[1]) == ["1100", "1100", "0010", "0001"]
     assert bm.to_row_strings(eps[2]) == ["1000", "0110", "0110", "0001"]
     assert bm.to_row_strings(eps[3]) == ["1000", "0100", "0011", "0011"]
-    assert dcm.generator(1, 2) == bm.all_ones(2)
+    assert dcm.generator(1, 2) == oracles.all_ones(2)
     for e in eps.values():
         assert bm.transpose(e) == e
         assert bm.mul(e, e) == e
@@ -95,7 +95,7 @@ def test_projection_preserves_bruhat_order(n):
         xu = dcm.dc_of_perm(u)
         for w in pm.all_perms(n):
             if pm.bruhat_leq(u, w):
-                assert bm.subset_leq(xu, dcm.dc_of_perm(w))
+                assert oracles.subset_leq(xu, dcm.dc_of_perm(w))
 
 
 @pytest.mark.parametrize("n,size", [(1, 1), (2, 2), (3, 6), (4, 23),
@@ -137,7 +137,7 @@ def test_degree_cap():
 def test_fibers():
     ident = bm.identity_mat(4)
     assert dcm.fiber(ident) == (pm.identity(4),)
-    ones = bm.all_ones(4)
+    ones = oracles.all_ones(4)
     assert set(dcm.fiber(ones)) == {(4, 2, 3, 1), (4, 3, 2, 1)}
     assert dcm.fiber(dcm.generator(1, 3)) == ((2, 1, 3),)
     outside = bm.from_row_strings(["11", "01"])
@@ -152,7 +152,7 @@ def test_fibers_partition_the_group(n):
 
 
 def test_fiber_analysis():
-    report = dcm.fiber_analysis(bm.all_ones(4))
+    report = dcm.fiber_analysis(oracles.all_ones(4))
     assert report.tau == (4, 2, 3, 1)
     assert report.maximal == {(4, 3, 2, 1)}
     assert report.convex

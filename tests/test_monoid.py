@@ -7,13 +7,19 @@ from catkit import boolmat as bm
 from catkit import dcm
 from catkit import hecke
 from catkit import permutations as pm
-from catkit.monoid import (MonoidCapExceeded, enumerate_presentation,
+from catkit.monoid import (MonoidCapExceeded, enumerate_presentation, gather,
                            generate_monoid, generators_match)
 
 
 def catalan_table(n):
     gens = [pm.ltr_maxima(pm.simple_transposition(i, n)) for i in range(1, n)]
     return generate_monoid(gens, pm.compose_map, pm.identity(n))
+
+
+@pytest.mark.parametrize("indices", [(), (2,), (2, 0), (1, 1, 3)])
+def test_gather_always_returns_a_tuple(indices):
+    row = ("a", "b", "c", "d")
+    assert gather(indices)(row) == tuple(row[k] for k in indices)
 
 
 def test_identity_only():

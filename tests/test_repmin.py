@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from catkit import coxeter as cx
 from catkit import repmin as rm
 
+import oracles
+
 
 def test_projective_module_dimensions():
     a2 = cx.type_a(2)
@@ -31,7 +33,7 @@ def test_generator_matrices_idempotent_and_braid():
             module = rm.projective_module(sys, s)
             mats = [module.action[t] for t in range(sys.rank)]
             for t, mt in enumerate(mats):
-                assert rm._compose_colmap(mt, mt) == mt
+                assert oracles.compose_colmap(mt, mt) == mt
                 for u in range(t + 1, sys.rank):
                     m_ = sys.matrix[t][u]
                     a = _alternate(mats[t], mats[u], m_, module.dim)
@@ -43,7 +45,7 @@ def _alternate(x, y, times, dim):
     cur = tuple(range(dim))
     use_x = True
     for _ in range(times):
-        cur = rm._compose_colmap(x if use_x else y, cur)
+        cur = oracles.compose_colmap(x if use_x else y, cur)
         use_x = not use_x
     return cur
 
@@ -267,8 +269,65 @@ def test_socle_components_are_independent(make):
         for J, vectors in report.items():
             for vec in vectors:
                 for t in range(sys.rank):
-                    mat = module.matrix(t)
+                    mat = oracles.dense_matrix(module, t)
                     image = [sum(mat[i][j] * vec[j] for j in range(module.dim))
                              for i in range(module.dim)]
                     expected = vec if t in J else [0] * module.dim
                     assert image == list(expected)
+
+
+# ---------------------------------------------------------------------------
+# The index-array kernels against their references in oracles.
+
+SYSTEMS = ([f"A{k}" for k in range(1, 6)] + [f"B{k}" for k in range(2, 5)]
+           + [f"I2:{m}" for m in range(3, 9)])
+
+
+def _projectives(sys):
+    """Every projective and reduced projective of sys."""
+    out = []
+    for s in range(sys.rank):
+        module = rm.projective_module(sys, s)
+        out += [module, rm.drop_trivial_summand(module)[0]]
+    return out
+
+
+@pytest.mark.parametrize("type_string", SYSTEMS)
+def test_socle_matches_the_dense_row_reference(type_string):
+    sys = cx.from_type_string(type_string)
+    for module in _projectives(sys):
+        for p in (None, 2, 3, 7):
+            assert rm.socle(module, p) == oracles.socle_by_dense_rows(module, p)
+
+
+def _with_sentinel(colmap, d):
+    return tuple(d if v is None else v for v in colmap) + (d,)
+
+
+@pytest.mark.parametrize("type_string", SYSTEMS)
+def test_element_maps_match_the_fold(type_string):
+    sys = cx.from_type_string(type_string)
+    modules = _projectives(sys)
+    sums = [rm.direct_sum(modules[1::2]), rm.direct_sum(modules)]
+    for module in modules + sums:
+        want = [_with_sentinel(m, module.dim)
+                for m in oracles.element_column_maps_by_fold(sys, module)]
+        assert rm.element_column_maps(sys, module) == want
+
+
+def test_element_maps_of_a_zero_dimensional_module():
+    """One gather index, the sentinel alone, still yields tuples."""
+    a1 = cx.type_a(1)
+    module = rm.HeckeModule(sys=a1, labels=(), action=((),))
+    assert rm.element_column_maps(a1, module) == [(0,), (0,)]
+    assert not rm.is_effective(a1, module)
+
+
+def test_socle_refuses_a_non_idempotent_action():
+    """The fixed-coordinate route holds only for idempotents; a swap of two
+    points is refused as eigen_split refuses it."""
+    swap = rm.HeckeModule(sys=cx.type_a(1), labels=(0, 1), action=((1, 0),))
+    with pytest.raises(RuntimeError, match="generator action not idempotent"):
+        rm.socle(swap)
+    with pytest.raises(RuntimeError, match="generator action not idempotent"):
+        rm.eigen_split(swap, 0)

@@ -7,7 +7,7 @@ from catkit import boolmat as bm
 from catkit import verify
 from catkit.verify import ALL_CHECKS, run_verify_all
 
-from oracles import random_convex_by_randint
+from oracles import all_ones, random_convex_by_randint
 
 
 def test_degenerate_degree_one():
@@ -60,7 +60,7 @@ def test_subset_realization_fails_on_one_wrong_generator_product(
 def test_convex_monoid_iso_fails_on_one_wrong_generator_product(
         monkeypatch):
     mul = verify.bm.mul
-    top = bm.all_ones(4)
+    top = all_ones(4)
     gen = bm.from_map_pair((1, 3, 3, 4), (1, 2, 3, 4))  # ltr_maxima(s_2)
 
     def wrong(a, b):
