@@ -240,7 +240,7 @@ def enumerate_convex(n: int) -> Iterator[BoolMat]:
 
 
 # ---------------------------------------------------------------------------
-# Text and JSON formats.
+# Text formats.
 
 def to_row_strings(a: BoolMat) -> list[str]:
     return [format(row, f"0{a.n}b")[::-1] for row in a.rows]
@@ -255,10 +255,6 @@ def from_row_strings(lines: Sequence[str]) -> BoolMat:
             raise ValueError(f"bad matrix row {line!r}")
         rows.append(sum(1 << j for j, ch in enumerate(line) if ch == "1"))
     return BoolMat(n, tuple(rows))
-
-
-def to_json_dict(a: BoolMat) -> dict:
-    return {"n": a.n, "rows": to_row_strings(a)}
 
 
 def parse_matrix(text: str) -> BoolMat:

@@ -232,19 +232,20 @@ def hecke_mul(sys: CoxeterSystem, i: int, j: int) -> int:
 
 
 def bruhat_leq(sys: CoxeterSystem, u: int, w: int) -> bool:
-    """Bruhat order by descent recursion on reduced words."""
-    if sys.length[u] > sys.length[w]:
-        return False
-    if u == w:
-        return True
-    if sys.length[w] == 0:
-        return u == w
-    s = min(sys.left_descents(w))
-    sw = sys.left[w][s]
-    su = sys.left[u][s]
-    if sys.length[su] < sys.length[u]:
-        return bruhat_leq(sys, su, sw)
-    return bruhat_leq(sys, u, sw)
+    """Bruhat order by descent recursion on reduced words: for the least
+    left descent s of w, u <= w iff su <= sw when s is a left descent of
+    u, and u <= sw otherwise."""
+    length, left = sys.length, sys.left
+    while length[u] <= length[w]:
+        if u == w:
+            return True
+        # w is not the identity here, so it has a left descent
+        s = next(s for s, sw in enumerate(left[w]) if length[sw] < length[w])
+        su = left[u][s]
+        if length[su] < length[u]:
+            u = su
+        w = left[w][s]
+    return False
 
 
 # ---------------------------------------------------------------------------

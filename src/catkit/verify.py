@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import comb, factorial
+from operator import ge, le
+from typing import Callable, Hashable, Sequence
 
 from . import boolmat as bm
 from . import coxeter as cx
@@ -22,7 +24,7 @@ from . import dyck
 from . import hecke
 from . import permutations as pm
 from . import repmin as rm
-from .monoid import MonoidTable, generate_monoid, generators_match
+from .monoid import MonoidTable, gather, generate_monoid, generators_match
 
 
 @dataclass
@@ -158,7 +160,10 @@ def check_convex_monoid_iso(n_max: int, rng: random.Random) -> CheckResult:
     product, the homomorphism and the union order pair by pair.  Draws
     repeat (Cat(5)^2 = 1,764 relations against 20,000 draws at n = 5), so
     each distinct drawn (alpha, beta) is filled, read back and round-tripped
-    once per degree; every sample still reads its own product and union.
+    once per degree.  Each product and union is read through a memo of
+    bm._map_pair by its bits, one per degree, and compose_map(f, g) is one
+    memoised gather per map g.  The memos share one copy of each of the
+    2 Cat(n) maps of a degree.
     """
     name = "convex-monoid-iso"
     details = {}
@@ -198,18 +203,19 @@ def check_convex_monoid_iso(n_max: int, rng: random.Random) -> CheckResult:
         details[str(n)] = len(table)
     # seeded sampling beyond exhaustive reach
     samples = 0
+    composers = _Memo(_composer)
     for n in (5, 6):
         if n > n_max:
             break
+        maps = {}  # one copy of each monotone map, for the memos below
         drawn = {}  # (alpha, beta) -> (its fill, the fill's pair or None)
+        pair_of = _pair_memo(n, maps)
         for _ in range(10_000):
             key_a = _random_convex(n, rng)
             key_b = _random_convex(n, rng)
             try:
-                a, pa = drawn.get(key_a) or drawn.setdefault(
-                    key_a, _read_draw(key_a))
-                b, pb = drawn.get(key_b) or drawn.setdefault(
-                    key_b, _read_draw(key_b))
+                a, pa = drawn.get(key_a) or _read_draw(drawn, key_a, maps)
+                b, pb = drawn.get(key_b) or _read_draw(drawn, key_b, maps)
             except ValueError as err:  # from_map_pair refused a draw
                 return _fail(name, {"n": n, "reason": f"sampler: {err}"})
             if pa is None or pb is None:
@@ -217,20 +223,54 @@ def check_convex_monoid_iso(n_max: int, rng: random.Random) -> CheckResult:
                     "n": n, "a": bm.to_row_strings(a),
                     "b": bm.to_row_strings(b),
                     "reason": "a draw is not convex or fails its round trip"})
-            pab = bm._map_pair(bm.mul(a, b))
-            pu = bm._map_pair(bm.union(a, b))
+            pab = pair_of[bm.mul(a, b).bits]
+            pu = pair_of[bm.union(a, b).bits]
             ok = (pab is not None
-                  and pab == (pm.compose_map(pa[0], pb[0]),
-                              pm.compose_map(pa[1], pb[1]))
+                  and pab[0] == composers[pb[0]](pa[0])
+                  and pab[1] == composers[pb[1]](pa[1])
                   and pu is not None
-                  and all(x <= y for x, y in zip(pa[0], pu[0]))
-                  and all(x >= y for x, y in zip(pa[1], pu[1])))
+                  and all(map(le, pa[0], pu[0]))
+                  and all(map(ge, pa[1], pu[1])))
             if not ok:
                 return _fail(name, {"n": n, "a": bm.to_row_strings(a),
                                     "b": bm.to_row_strings(b)})
             samples += 1
     details["samples"] = samples
     return CheckResult(name, True, details)
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with make(key) on first lookup; a
+    hit is a plain dict subscription, about half a functools.cache call."""
+
+    def __init__(self, make: Callable[[Hashable], object]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Hashable) -> object:
+        value = self[key] = self.make(key)
+        return value
+
+
+def _composer(g: tuple) -> Callable[[Sequence], tuple]:
+    """The map f -> pm.compose_map(f, g) as one gather."""
+    return gather([v - 1 for v in g])
+
+
+def _pair_memo(n: int, maps: dict) -> _Memo:
+    """bits -> bm._map_pair of the degree-n matrix holding them, each map
+    the copy kept in maps."""
+    def read(bits: int) -> tuple | None:
+        pair = bm._map_pair(bm.from_bits(n, bits))
+        return None if pair is None else _kept(maps, pair)
+    return _Memo(read)
+
+
+def _kept(maps: dict, pair: tuple) -> tuple:
+    """pair with each map replaced by its copy in maps, which keeps the
+    first copy of each map it is shown."""
+    alpha, beta = pair
+    return maps.setdefault(alpha, alpha), maps.setdefault(beta, beta)
 
 
 def _random_convex(n: int, rng: random.Random) -> tuple[tuple, tuple]:
@@ -269,21 +309,25 @@ def _random_convex(n: int, rng: random.Random) -> tuple[tuple, tuple]:
     return tuple(alpha), tuple(beta)
 
 
-def _read_draw(key: tuple) -> tuple[bm.BoolMat, tuple | None]:
-    """The interval fill of a drawn (alpha, beta), with the (max, min) pair
-    read back from it, or None when it is not convex or the pair does not
-    fill to it again.
+def _read_draw(drawn: dict, key: tuple,
+               maps: dict) -> tuple[bm.BoolMat, tuple | None]:
+    """Enter a drawn (alpha, beta) in drawn, under the copies of its maps
+    kept in maps: its interval fill, with the (max, min) pair read back
+    from it, or None when it is not convex or the pair does not fill to it
+    again.
 
-    The pair is key itself when the two are equal, so that a memo of draws
-    holds no second copy of it.
+    The pair is the key itself when the two are equal, so that the memo of
+    draws holds no second copy of it.
     """
+    key = _kept(maps, key)
     a = bm.from_map_pair(*key)
     pair = bm._map_pair(a)
     if pair == key:
-        return a, key
-    if pair is not None and bm.from_map_pair(*pair) == a:
-        return a, pair
-    return a, None
+        pair = key
+    elif pair is None or bm.from_map_pair(*pair) != a:
+        pair = None
+    drawn[key] = a, pair
+    return a, pair
 
 
 def check_projection_two_routes(n_max: int, rng: random.Random) -> CheckResult:
@@ -371,16 +415,19 @@ def check_presentation(n_max: int, rng: random.Random) -> CheckResult:
 
 
 def check_coset_max_reps(n_max: int, rng: random.Random) -> CheckResult:
-    """Idempotent products project onto longest coset representatives."""
+    """Idempotent products project onto longest coset representatives;
+    Bruhat order is read once per system, the projection once per J."""
     name = "coset-max-reps"
     systems = [cx.type_a(3)] + [cx.dihedral(m) for m in range(3, 7)]
     for sys in systems:
+        below = [(u, w) for u in range(sys.order) for w in range(sys.order)
+                 if cx.bruhat_leq(sys, u, w)]
         for mask in range(1 << sys.rank):
             J = frozenset(s for s in range(sys.rank) if mask >> s & 1)
             para = cx.parabolic(sys, J)
             sets, coset_id = cx.cosets(sys, J)
-            for i in range(sys.order):
-                rep = cx.coset_max_rep(sys, para, i)
+            reps = [cx.coset_max_rep(sys, para, i) for i in range(sys.order)]
+            for i, rep in enumerate(reps):
                 members = sets[coset_id[i]]
                 want = max(members, key=lambda x: sys.length[x])
                 if rep != want or rep not in para.max_reps:
@@ -394,15 +441,10 @@ def check_coset_max_reps(n_max: int, rng: random.Random) -> CheckResult:
                         return _fail(name, {"type": sys.name, "J": sorted(J),
                                             "element": w, "generator": s})
             # order preservation of the projection
-            for u in range(sys.order):
-                for w in range(sys.order):
-                    if cx.bruhat_leq(sys, u, w):
-                        pu = cx.coset_max_rep(sys, para, u)
-                        pw = cx.coset_max_rep(sys, para, w)
-                        if not cx.bruhat_leq(sys, pu, pw):
-                            return _fail(name, {"type": sys.name,
-                                                "J": sorted(J),
-                                                "u": u, "w": w})
+            for u, w in below:
+                if not cx.bruhat_leq(sys, reps[u], reps[w]):
+                    return _fail(name, {"type": sys.name, "J": sorted(J),
+                                        "u": u, "w": w})
     return CheckResult(name, True, {"systems": [s.name for s in systems]})
 
 

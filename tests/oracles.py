@@ -82,6 +82,10 @@ def subset_leq(a: bm.BoolMat, b: bm.BoolMat) -> bool:
     return a.bits & ~b.bits == 0
 
 
+def to_json_dict(a: bm.BoolMat) -> dict:
+    return {"n": a.n, "rows": bm.to_row_strings(a)}
+
+
 def from_json_dict(data: dict) -> bm.BoolMat:
     mat = bm.from_row_strings(data["rows"])
     if mat.n != data["n"]:
@@ -189,7 +193,8 @@ def random_convex_by_randint(n: int, rng: random.Random) -> tuple[tuple, tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Coxeter tables by composing tuples, parabolics by scanning words.
+# Coxeter tables by composing tuples, parabolics by scanning words, and
+# Bruhat order by descent sets.
 
 def coxeter_tables_by_compose(gens) -> dict:
     """The closure of gens under cx._compose, one generator expression per
@@ -214,6 +219,23 @@ def parabolic_by_word_scan(sys: cx.CoxeterSystem, J) -> cx.Parabolic:
                      if all(length[right[i][s]] < length[i] for s in J))
     return cx.Parabolic(J=J, members=members, longest=members[-1],
                         max_reps=max_reps)
+
+
+def bruhat_leq_by_descent_sets(sys: cx.CoxeterSystem, u: int, w: int) -> bool:
+    """Bruhat order by descent recursion, the least left descent of w read
+    as the minimum of its left descent set."""
+    if sys.length[u] > sys.length[w]:
+        return False
+    if u == w:
+        return True
+    if sys.length[w] == 0:
+        return u == w
+    s = min(sys.left_descents(w))
+    sw = sys.left[w][s]
+    su = sys.left[u][s]
+    if sys.length[su] < sys.length[u]:
+        return bruhat_leq_by_descent_sets(sys, su, sw)
+    return bruhat_leq_by_descent_sets(sys, u, sw)
 
 
 # ---------------------------------------------------------------------------

@@ -314,7 +314,7 @@ def test_convex_enumeration_is_catalan_squared(n, expected):
 def test_formats():
     a = bm.from_row_strings(["110", "111", "011"])
     assert bm.to_row_strings(a) == ["110", "111", "011"]
-    assert oracles.from_json_dict(bm.to_json_dict(a)) == a
+    assert oracles.from_json_dict(oracles.to_json_dict(a)) == a
     assert bm.parse_matrix("110,111,011") == a
     assert bm.parse_matrix("110\n111\n011") == a
 

@@ -309,3 +309,13 @@ def test_one_point_and_empty_carriers_build():
     a0 = cx.type_a(0)
     assert (a0.order, a0.rank, a0.elements) == (1, 0, ((),))
     assert cx.vertex_count(a0) == 0
+
+
+@pytest.mark.parametrize("name", ([f"A{k}" for k in range(5)] + ["B2", "B3"]
+                                  + [f"I2:{m}" for m in range(2, 9)]))
+def test_bruhat_leq_matches_the_descent_set_route(name):
+    sys = cx.from_type_string(name)
+    for u in range(sys.order):
+        for w in range(sys.order):
+            assert (cx.bruhat_leq(sys, u, w)
+                    == oracles.bruhat_leq_by_descent_sets(sys, u, w)), (u, w)

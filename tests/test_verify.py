@@ -4,6 +4,7 @@ import random
 import pytest
 
 from catkit import boolmat as bm
+from catkit import permutations as pm
 from catkit import verify
 from catkit.verify import ALL_CHECKS, run_verify_all
 
@@ -144,3 +145,72 @@ def test_random_convex_keeps_the_randint_stream(seed, n):
         pairs = [sampler(n, rng) for _ in range(500)]
         routes.append((pairs, rng.getrandbits(64)))
     assert routes[0] == routes[1]
+
+
+@pytest.mark.parametrize("below", [
+    ((1, 2, 3, 4, 5), (1, 2, 3, 4, 5)),   # the identity
+    ((1, 2, 3, 4, 5), (1, 1, 1, 1, 1)),   # max map below a's
+    ((5, 5, 5, 5, 5), (1, 2, 3, 4, 5))])  # min map above a's
+def test_convex_monoid_iso_records_a_union_below_a_draw(monkeypatch, below):
+    """A union that is convex but not above a fails the union order on the
+    first sample at n = 5, through either map, and names both draws."""
+    union = verify.bm.union
+
+    def wrong(a, b):
+        if a.n == 5:
+            return bm.from_map_pair(*below)
+        return union(a, b)
+
+    monkeypatch.setattr(verify.bm, "union", wrong)
+    result = verify.check_convex_monoid_iso(5, random.Random(0))
+    assert result.passed is False
+    assert result.counterexample == {
+        "n": 5, "a": ["10000", "11000", "11100", "11111", "01111"],
+        "b": ["11000", "11111", "11111", "11111", "11111"]}
+
+
+def test_convex_monoid_iso_pins_degree_six():
+    """The --n-max 6 details, and the generator's state after them, are
+    those of a fresh pair read and compose_map per sample."""
+    rng = random.Random(0)
+    result = verify.check_convex_monoid_iso(6, rng)
+    assert result.passed
+    assert result.details == {"1": 1, "2": 4, "3": 25, "4": 196,
+                              "samples": 20000}
+    assert rng.getrandbits(64) == 5667380518597920974
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("seed", range(3))
+def test_sample_memos_match_fresh_reads(seed, n):
+    """On seeded draws, each gather composes as pm.compose_map, and each
+    memoised pair of a product or union is a fresh bm._map_pair, on its
+    first lookup and on every repeat, made of the maps' kept copies."""
+    rng = random.Random(seed)
+    composers = verify._Memo(verify._composer)
+    maps = {}
+    pair_of = verify._pair_memo(n, maps)
+    draws = [bm.from_map_pair(*verify._random_convex(n, rng))
+             for _ in range(400)]
+    for a, b in zip(draws[::2], draws[1::2]):
+        pa, pb = bm.to_map_pair(a), bm.to_map_pair(b)
+        for f, g in zip(pa, pb):
+            assert composers[g](f) == pm.compose_map(f, g)
+        unreflexive = bm.from_bits(n, a.bits ^ 1)  # so not convex
+        for m in (bm.mul(a, b), bm.union(a, b), unreflexive):
+            pair = pair_of[m.bits]
+            assert pair == bm._map_pair(m)
+            assert pair_of[m.bits] is pair
+            assert pair is None or all(maps[f] is f for f in pair)
+    assert pair_of[unreflexive.bits] is None
+    assert len(pair_of) < 3 * 200  # products repeat across the samples
+
+
+def test_coset_max_reps_records_a_wrong_order(monkeypatch):
+    """With Bruhat order read once per system, a wrong order (length
+    alone) still fails the projection test with its counterexample."""
+    monkeypatch.setattr(verify.cx, "bruhat_leq",
+                        lambda sys, u, w: sys.length[u] <= sys.length[w])
+    result = verify.check_coset_max_reps(4, random.Random(0))
+    assert result.passed is False
+    assert result.counterexample == {"type": "A3", "J": [0], "u": 2, "w": 1}
