@@ -27,7 +27,7 @@ from . import hecke
 from . import permutations as pm
 from . import repmin as rm
 from . import verify
-from .monoid import DEFAULT_CAP, MonoidCapExceeded
+from .monoid import DEFAULT_CAP, MonoidCapExceeded, ProductRows
 
 
 def _whole(flag: str, least: int | None = None):
@@ -115,10 +115,12 @@ def _write_json(value, write, newline: str = "\n",
     """Write value as json.dump(value, sort_keys=True, indent=2) would,
     byte for byte, one child of a container of containers at a time.
 
-    Tuples and iterators (such as a table's product rows) are written as
-    lists.  Dict keys must be strs; floats and any other type raise
-    TypeError.  The text of each int in a list of ints is made once per
-    top-level call, which passes its memo down to the nested ones.
+    Tuples and iterators are written as lists.  Dict keys must be strs;
+    floats and any other type raise TypeError.  The text of each int in a
+    list of ints is made once per top-level call, which passes its memo
+    down to the nested ones.  A monoid.ProductRows view, a table's product
+    rows, is written from rows of those texts, each gathered from its
+    parent's row and joined in one piece.
 
     >>> import io
     >>> out = io.StringIO()
@@ -142,6 +144,16 @@ def _write_json(value, write, newline: str = "\n",
         write(text)
         return
     inner = newline + "  "
+    if isinstance(value, ProductRows):
+        # every table holds its identity, so there is at least one row
+        labels = [texts[k] for k in range(len(value))]
+        head, entry, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+        sep = "[" + inner
+        for row in value.table.product_rows(labels):
+            write(sep + head + entry.join(row) + tail)
+            sep = "," + inner
+        write(newline + "]")
+        return
     if isinstance(value, dict):
         # _quote raises TypeError on a key that is not a str
         opener, closer = "{", "}"

@@ -40,7 +40,7 @@ from . import hecke
 from . import permutations as pm
 from .boolmat import BoolMat
 from .monoid import (DEFAULT_CAP, MonoidTable, enumerate_presentation,
-                     generate_monoid, generators_match)
+                     gather, generate_monoid, generators_match)
 from .permutations import MonotoneMap, Perm
 
 
@@ -103,12 +103,15 @@ def _capped(n: int, cap: int) -> MonoidTable:
 def catalan_monoid(n: int) -> MonoidTable:
     """Closure table of the Catalan monoid of degree n: the non-decreasing
     maps generated by the prefix maxima of the simple transpositions.
+    Right multiplication by a generator g, pm.compose_map(x, g), is one
+    gather of x.
 
     >>> len(catalan_monoid(4))
     14
     """
     gens = [pm.ltr_maxima(pm.simple_transposition(i, n)) for i in range(1, n)]
-    return generate_monoid(gens, pm.compose_map, pm.identity(n))
+    through = {g: gather([v - 1 for v in g]) for g in gens}
+    return generate_monoid(gens, lambda x, g: through[g](x), pm.identity(n))
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,9 @@ from the left: if i = parent[i] * g, then
     i * j = parent[i] * (g * j),
 
 so row i is row parent[i] read through column g of the left table, one
-gather per row.  A finite monoid is J-trivial iff it is both R-trivial and
+gather per row.  The gather moves whatever the row holds, so a row of
+labels of the indices, such as their JSON texts, costs the same as a row of
+indices.  A finite monoid is J-trivial iff it is both R-trivial and
 L-trivial (Pin, "Mathematical Foundations of Automata Theory", on Green's
 relations), that is, iff neither its right nor its left Cayley graph has a
 cycle other than a self-loop.
@@ -100,13 +102,21 @@ class MonoidTable:
             self._left = left
         return self._left
 
-    def product_rows(self) -> Iterator[list[int]]:
-        """Row i of the product table, [product(i, j) for every j], for each
-        i in turn: row parent[i] gathered through column g of the left
-        table, g the last letter of i.  A row is kept only until the row of
-        its last child is made."""
-        row = tuple(range(len(self)))
-        yield list(row)
+    def product_rows(self, labels: Sequence | None = None) -> Iterator[tuple]:
+        """Row i of the product table, the tuple of labels[product(i, j)]
+        over every j, for each i in turn; the labels default to the indices.
+        Row 0 is tuple(labels), and each later row is row parent[i]
+        gathered through column g of the left table, g the last letter of
+        i.  A row is kept only until the row of its last child is made.
+
+        The sums 0, 1, 2, capped at 2:
+
+        >>> table = generate_monoid([1], lambda x, y: min(x + y, 2), 0)
+        >>> list(table.product_rows("abc"))
+        [('a', 'b', 'c'), ('b', 'c', 'c'), ('c', 'c', 'c')]
+        """
+        row = tuple(range(len(self)) if labels is None else labels)
+        yield row
         through = [gather(column) for column in zip(*self.left_table())]
         last_child = {p: j for j, p in enumerate(self.parent)}
         live = {0: row}
@@ -116,7 +126,7 @@ class MonoidTable:
                 del live[p]
             if i in last_child:
                 live[i] = row
-            yield list(row)
+            yield row
 
     def two_sided_ideal(self, a: int) -> frozenset[int]:
         """Indices of all elements x*a*y."""
@@ -144,16 +154,16 @@ class MonoidTable:
 
     def to_json_dict(self, element_repr: Callable = str) -> dict:
         """The table as JSON data.  "product_table" is None above
-        MAX_PRODUCT_TABLE elements, else the one-shot iterator
-        product_rows(), so a writer can stream the rows without holding
-        them all."""
+        MAX_PRODUCT_TABLE elements, else the view ProductRows(self), so a
+        writer can stream the rows without holding them all, and gather
+        each row's texts instead of writing its ints one by one."""
         return {
             "size": len(self),
             "generators": list(self.gens),
             "elements": [element_repr(x) for x in self.elements],
             "words": [list(word) for word in self.words],
             "right_cayley": [list(row) for row in self.right],
-            "product_table": (self.product_rows()
+            "product_table": (ProductRows(self)
                               if len(self) <= MAX_PRODUCT_TABLE else None),
         }
 
@@ -168,6 +178,20 @@ class MonoidTable:
                 lines.append(f'  n{i} -> n{j} [label="g{g + 1}"];')
         lines.append("}")
         return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class ProductRows:
+    """The product table of a MonoidTable, made a row at a time on each
+    pass: iterating gives the rows of indices, and
+    table.product_rows(labels) the rows of their labels."""
+    table: MonoidTable
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return self.table.product_rows()
 
 
 def _loops_only(graph: list[list[int]]) -> bool:

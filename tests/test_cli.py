@@ -401,6 +401,14 @@ PINNED_DIGESTS = [
      "e87468085dfdc69cf3a80c79e8f35ec97033de03ad8c893dd4a51a5c7ff6c8c0"),
     (["dcm", "psi", "5,2,7,6,1,4,3,12,9,11,8,10"],
      "fffad577db65da7d771c0c132a279e69f99758fb1763810c6456c48cf43afd7b"),
+    (["export", "--what", "catalan", "--n", "7"],
+     "2008163abd47f00f3da5eb86e28bdeffba647bef73bc5ed0d83c62c9d82ffc16"),
+    (["export", "--what", "hecke", "--n", "5"],
+     "89b1c0823949109d1d393482327826486df7b6f6cfefed6d316aab368172b05b"),
+    (["export", "--what", "catalan", "--n", "1"],
+     "6191c7e1844cdc6cdfe960b7f83bd3f29cede7078df77fc4c089f8aa881b6024"),
+    (["coxeter", "--type", "B3", "--quotient", "catalan", "--J", "s1"],
+     "c6b707256c268d1d2d9b3100c9891497f52a300b31a905e6d3574115300c8446"),
 ]
 
 

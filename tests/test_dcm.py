@@ -115,6 +115,15 @@ def test_catalan_monoid_is_the_type_a_catalan_quotient(n, size):
     assert generators_match(table, quotient)
 
 
+@pytest.mark.parametrize("n", range(10))
+def test_gathered_catalan_closure_matches_compose_map(n):
+    table = dcm.catalan_monoid(n)
+    gens = [pm.ltr_maxima(pm.simple_transposition(i, n)) for i in range(1, n)]
+    reference = generate_monoid(gens, pm.compose_map, pm.identity(n))
+    for name in ("elements", "right", "words", "parent"):
+        assert getattr(table, name) == getattr(reference, name), name
+
+
 @pytest.mark.parametrize("n", range(9))
 def test_packed_closure_matches_the_boolmat_reference(n):
     table = dcm.dc_monoid(n)

@@ -1,4 +1,5 @@
 import functools
+import json
 from collections.abc import Iterator
 
 import pytest
@@ -7,8 +8,10 @@ from catkit import boolmat as bm
 from catkit import dcm
 from catkit import hecke
 from catkit import permutations as pm
-from catkit.monoid import (MonoidCapExceeded, enumerate_presentation, gather,
-                           generate_monoid, generators_match)
+from catkit.cli import _write_json
+from catkit.monoid import (MonoidCapExceeded, ProductRows,
+                           enumerate_presentation, gather, generate_monoid,
+                           generators_match)
 
 
 def catalan_table(n):
@@ -151,9 +154,34 @@ def _ideal_count_j_trivial(table):
 def test_product_table_matches_word_walks(family, n, build):
     table = build(n)
     rows = list(table.product_rows())
-    assert all(type(row) is list for row in rows)
-    assert rows == [[table.product(i, j) for j in range(len(table))]
+    assert all(type(row) is tuple for row in rows)
+    assert rows == [tuple(table.product(i, j) for j in range(len(table)))
                     for i in range(len(table))]
+
+
+@pytest.mark.parametrize("family,n,build", TABLES)
+def test_product_rows_gather_labels(family, n, build):
+    table = build(n)
+    labels = [f"x{k}" for k in range(len(table))]
+    assert list(table.product_rows(labels)) == [
+        tuple(labels[table.product(i, j)] for j in range(len(table)))
+        for i in range(len(table))]
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("family,n,build", TABLES)
+def test_writer_streams_the_product_view_at_any_depth(family, n, build,
+                                                      depth):
+    data = build(n).to_json_dict()
+    view = data["product_table"]
+    assert isinstance(view, ProductRows)
+    plain = {**data, "product_table": [list(row) for row in view]}
+    # the view alone, in the table's dict, and in a list around that dict
+    value, expected = [(view, plain["product_table"]), (data, plain),
+                       ([data], [plain])][depth]
+    chunks = []
+    _write_json(value, chunks.append)
+    assert "".join(chunks) == json.dumps(expected, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("family,n,build", TABLES)
@@ -225,5 +253,7 @@ def test_json_export():
     assert data["size"] == 6
     assert len(data["elements"]) == 6
     rows = data["product_table"]
-    assert isinstance(rows, Iterator) and not isinstance(rows, list)
-    assert next(rows) == list(range(6))
+    assert isinstance(rows, ProductRows) and not isinstance(rows, Iterator)
+    assert len(rows) == 6
+    assert next(iter(rows)) == tuple(range(6))
+    assert list(rows) == list(rows) == list(table.product_rows())
