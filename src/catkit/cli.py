@@ -150,7 +150,9 @@ def _write_json(value, write, newline: str = "\n",
         head, entry, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
         sep = "[" + inner
         for row in value.table.product_rows(labels):
-            write(sep + head + entry.join(row) + tail)
+            # one f-string copies the joined row once, where chained +
+            # would copy it twice more and leave a larger heap behind
+            write(f"{sep}{head}{entry.join(row)}{tail}")
             sep = "," + inner
         write(newline + "]")
         return
