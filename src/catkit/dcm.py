@@ -13,8 +13,10 @@ The projection is computed by two independent routes, generator products
 and interval fill, and the two must agree; a mismatch is an internal error,
 never user error.
 
-Fibers of the projection come from the prefix tree of the 0-Hecke closure,
-each image checked against its interval fill.  Each fiber
+Fibers of the projection come from one pass over the permutations in
+lexicographic order, each image the image of a lexicographically earlier
+permutation times one generator, and each checked against its interval
+fill.  Each fiber
 carries a unique 4321-avoiding member, which is also its Bruhat minimum;
 its Bruhat-maximal members are exactly the 4231-avoiding ones, and fibers
 are Bruhat convex.  The analogous statements for the one-sided projection
@@ -36,7 +38,6 @@ from functools import lru_cache, reduce
 from typing import Collection, Iterator
 
 from . import boolmat as bm
-from . import hecke
 from . import permutations as pm
 from .boolmat import BoolMat
 from .monoid import (DEFAULT_CAP, MonoidTable, enumerate_presentation,
@@ -119,24 +120,27 @@ def projection_fibers(n: int) -> dict[BoolMat, tuple[Perm, ...]]:
     """All fibers of the projection, keyed in lexicographic order of their
     first members, each listing its members in lexicographic order.
 
-    The projection is a monoid homomorphism from the 0-Hecke monoid, so the
-    image of each element of its closure is the image of the element's
-    parent times the generator of its last letter: the generator-product
-    route along reduced words, with shared prefixes, on the bits of the
-    matrices.  Every image is then checked against its interval fill.
+    The projection is a monoid homomorphism from the 0-Hecke monoid.  A
+    permutation w other than the identity, with first descent k, is
+    w = v*s_k for the lexicographically earlier v = w*s_k, with
+    len(w) = len(v) + 1, so the image of w is the image of v times the k-th
+    generator: the generator-product route along reduced words, with shared
+    prefixes, on the bits of the matrices.  Every image is then checked
+    against its interval fill.
     """
-    table = hecke.hecke_monoid(n)
-    index, parent, words = table.index, table.parent, table.words
-    del table  # free the right table before the images, the words after
     step = bm._column_or(n, range(n - 1))  # letters are generator positions
-    image = [bm.identity_mat(n).bits]
-    for j in range(1, len(words)):
-        image.append(step(image[parent[j]], words[j][-1]))
-    del parent, words
+    image: dict[Perm, int] = {}
     fibers: dict[BoolMat, list[Perm]] = {}
     for w in pm.all_perms(n):
+        k = next((k for k in range(n - 1) if w[k] > w[k + 1]), None)
+        if k is None:
+            bits = bm.identity_mat(n).bits
+        else:
+            parent = w[:k] + (w[k + 1], w[k]) + w[k + 2:]
+            bits = step(image[parent], k)
+        image[w] = bits
         x = bm._interval_fill(pm.ltr_maxima(w), pm.rtl_minima(w))
-        if x.bits != image[index[w]]:
+        if x.bits != bits:
             raise InternalInconsistency(
                 f"projection routes disagree for {pm.format_perm(w)}")
         fibers.setdefault(x, []).append(w)
@@ -196,10 +200,21 @@ class FiberReport:
 
 
 def _bruhat_maximal(members: tuple[Perm, ...]) -> frozenset[Perm]:
-    """The members below no other member in the Bruhat order."""
+    """The members below no other member in the Bruhat order.
+
+    The candidates are the members that no member covers.  Climbing
+    covers inside members from any member ends at a candidate, so every
+    member lies below one; hence a single candidate is the maximum, and
+    otherwise a candidate is maximal iff it lies below no other candidate.
+    """
+    member_set = set(members)
+    candidates = [u for u in members
+                  if not any(v in member_set for v in _bruhat_covers(u))]
+    if len(candidates) == 1:
+        return frozenset(candidates)
     return frozenset(
-        w for w in members
-        if not any(v != w and pm.bruhat_leq(w, v) for v in members))
+        w for w in candidates
+        if not any(v != w and pm.bruhat_leq(w, v) for v in candidates))
 
 
 def fiber_analysis(x: BoolMat) -> FiberReport:

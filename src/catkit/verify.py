@@ -342,7 +342,7 @@ def check_projection_two_routes(n_max: int, rng: random.Random) -> CheckResult:
 def check_dc_fibers(n_max: int, rng: random.Random) -> CheckResult:
     """Unique avoiding member, Bruhat minimum, maximal set, convexity."""
     name = "dc-fiber-structure"
-    for n in range(1, min(n_max, 7) + 1):
+    for n in range(1, min(n_max, 8) + 1):
         total = 0
         for x in dcm.dc_monoid(n).elements:
             report = dcm.fiber_analysis(x)
@@ -351,7 +351,7 @@ def check_dc_fibers(n_max: int, rng: random.Random) -> CheckResult:
                 return _fail(name, {"n": n, "x": bm.to_row_strings(x)})
         if total != factorial(n):
             return _fail(name, {"n": n, "reason": "fibers do not partition"})
-    return CheckResult(name, True, {"range": f"1..{min(n_max, 7)}"})
+    return CheckResult(name, True, {"range": f"1..{min(n_max, 8)}"})
 
 
 def check_catalan_fibers(n_max: int, rng: random.Random) -> CheckResult:

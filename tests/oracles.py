@@ -1,6 +1,7 @@
 """Slow, independent references that tests compare the library against."""
 
 import random
+from itertools import combinations
 from typing import Iterator
 
 from catkit import boolmat as bm
@@ -52,6 +53,45 @@ def bruhat_leq_by_sorted_prefixes(u: pm.Perm, w: pm.Perm) -> bool:
         if any(a > b for a, b in zip(pu, pw)):
             return False
     return True
+
+
+def reduced_word_by_restart(w: pm.Perm) -> tuple[int, ...]:
+    """A reduced word for w: clear the leftmost descent on the right,
+    rescanning from the first position after every swap; the letters in
+    reverse order of clearing."""
+    letters = []
+    values = list(w)
+    n = len(values)
+    done = False
+    while not done:
+        done = True
+        for i in range(n - 1):
+            if values[i] > values[i + 1]:
+                letters.append(i + 1)
+                values[i], values[i + 1] = values[i + 1], values[i]
+                done = False
+                break
+    return tuple(reversed(letters))
+
+
+def contains_pattern_by_scan(w: pm.Perm, p: pm.Perm) -> bool:
+    """Pattern containment by testing every subsequence of w of len(p)."""
+    n, m = len(w), len(p)
+    if m > n:
+        return False
+    for positions in combinations(range(n), m):
+        vals = [w[j] for j in positions]
+        if all((vals[a] < vals[b]) == (p[a] < p[b])
+               for a in range(m) for b in range(a + 1, m)):
+            return True
+    return False
+
+
+def bruhat_maximal_by_pairs(members) -> frozenset[pm.Perm]:
+    """The members below no other member, comparing every pair."""
+    return frozenset(
+        w for w in members
+        if not any(v != w and pm.bruhat_leq(w, v) for v in members))
 
 
 def bruhat_ideal_by_subwords(w: pm.Perm) -> frozenset[pm.Perm]:

@@ -173,13 +173,32 @@ def test_fiber_analysis():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7])
 def test_projection_fibers_equal_the_dc_of_perm_scan(n):
-    """The 0-Hecke prefix-tree pass gives the fibers of the two-route scan,
+    """The lexicographic pass gives the fibers of the two-route scan,
     with the same key order and the same member order."""
     scan = {}
     for w in pm.all_perms(n):
         scan.setdefault(dcm.dc_of_perm(w), []).append(w)
     assert list(dcm.projection_fibers(n).items()) == \
         [(x, tuple(ws)) for x, ws in scan.items()]
+
+
+def test_projection_fibers_name_the_permutation_where_the_routes_disagree(
+        monkeypatch):
+    """One flipped bit in the interval fill of 2413, whose fiber has no
+    other member, ends the pass."""
+    interval_fill = bm._interval_fill
+
+    def flipped(alpha, beta):
+        x = interval_fill(alpha, beta)
+        if (alpha, beta) == (pm.ltr_maxima((2, 4, 1, 3)),
+                             pm.rtl_minima((2, 4, 1, 3))):
+            return bm.from_bits(x.n, x.bits ^ 1)
+        return x
+
+    monkeypatch.setattr(bm, "_interval_fill", flipped)
+    with pytest.raises(dcm.InternalInconsistency,
+                       match="projection routes disagree for 2413"):
+        dcm.projection_fibers.__wrapped__(4)
 
 
 def test_projection_fibers_of_degree_eight():
@@ -261,6 +280,45 @@ def test_fiber_structure_exhaustive(n):
         assert report.convex
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7])
+def test_bruhat_maximal_matches_the_pairwise_reference(n):
+    for members in dcm.projection_fibers(n).values():
+        assert dcm._bruhat_maximal(members) == \
+            oracles.bruhat_maximal_by_pairs(members)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_bruhat_maximal_matches_the_pairwise_reference_on_catalan_fibers(n):
+    for alpha in pm.all_nondecreasing_maps(n):
+        members = tuple(dcm._maxima_fiber(alpha))
+        assert dcm._bruhat_maximal(members) == \
+            oracles.bruhat_maximal_by_pairs(members)
+
+
+def test_bruhat_maximal_of_small_sets():
+    """One member, an antichain, and a chain with a gap, whose bottom no
+    member covers although it is not maximal."""
+    assert dcm._bruhat_maximal(((2, 1, 3),)) == {(2, 1, 3)}
+    assert dcm._bruhat_maximal(((),)) == {()}
+    antichain = ((2, 1, 3), (1, 3, 2))
+    assert dcm._bruhat_maximal(antichain) == set(antichain)
+    assert dcm._bruhat_maximal(((1, 2, 3), (3, 2, 1))) == {(3, 2, 1)}
+    assert dcm._bruhat_maximal(((1, 2, 3), (1, 3, 2), (3, 1, 2))) == \
+        {(3, 1, 2)}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bruhat_maximal_matches_the_pairwise_reference_on_random_subsets(n):
+    """Seeded subsets of S_n, where, unlike in the fibers, a member that
+    no member covers can lie below another member."""
+    rng = random.Random(n)
+    group = list(pm.all_perms(n))
+    for _ in range(300):
+        members = tuple(rng.sample(group, rng.randint(1, min(12, len(group)))))
+        assert dcm._bruhat_maximal(members) == \
+            oracles.bruhat_maximal_by_pairs(members)
+
+
 def test_multimaximal_fiber_witness():
     """Fibers can have several maximal members; the first case is degree 7."""
     for n in (2, 3, 4, 5, 6):
@@ -314,6 +372,12 @@ def test_dc_fiber_check_reaches_degree_seven():
     result = check_dc_fibers(7, random.Random(0))
     assert result.passed
     assert result.details == {"range": "1..7"}
+
+
+def test_dc_fiber_check_reaches_degree_eight():
+    result = check_dc_fibers(9, random.Random(0))
+    assert result.passed
+    assert result.details == {"range": "1..8"}
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 4), (4, 9),

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +7,8 @@ from hypothesis import given, strategies as st
 from catkit import permutations as pm
 
 from oracles import (all_nonincreasing_maps, bruhat_ideal_by_subwords,
-                     bruhat_leq_by_sorted_prefixes, word_to_perm)
+                     bruhat_leq_by_sorted_prefixes, contains_pattern_by_scan,
+                     reduced_word_by_restart, word_to_perm)
 
 
 def perms(n_max=6):
@@ -43,6 +45,20 @@ def test_reduced_word_basics():
     assert word_to_perm(word, 4) == (4, 3, 2, 1)
     # the classical length-6 word evaluates to the reversal
     assert word_to_perm((1, 2, 3, 1, 2, 1), 4) == (4, 3, 2, 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7])
+def test_reduced_word_matches_the_restart_reference(n):
+    for w in pm.all_perms(n):
+        assert pm.reduced_word(w) == reduced_word_by_restart(w)
+
+
+def test_reduced_word_matches_the_restart_reference_on_seeded_perms():
+    rng = random.Random(14)
+    for _ in range(2_000):
+        n = rng.randint(8, 14)
+        w = tuple(rng.sample(range(1, n + 1), n))
+        assert pm.reduced_word(w) == reduced_word_by_restart(w)
 
 
 @given(perms())
@@ -127,6 +143,43 @@ def test_contains_pattern():
     assert not pm.contains_pattern((4, 2, 3, 1), (4, 3, 2, 1))
     assert not pm.contains_pattern((4, 3, 2, 1), (4, 2, 3, 1))
     assert pm.contains_pattern((5, 2, 4, 3, 1), (3, 2, 1))
+
+
+def test_contains_pattern_edge_cases():
+    assert pm.contains_pattern((), ())
+    assert pm.contains_pattern((2, 1), ())
+    assert not pm.contains_pattern((), (1,))
+    assert pm.contains_pattern((1,), (1,))
+    assert not pm.contains_pattern((2, 1), (1, 2, 3))
+    assert not pm.contains_pattern((3, 1, 2), (4, 2, 3, 1))
+    assert not pm.contains_pattern((1, 2), (2, 1))
+    assert pm.contains_pattern((1, 2), (1, 2))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+def test_contains_pattern_matches_the_scan_for_short_patterns(n):
+    """Every pattern of length 0 to 4 on every permutation of degree n."""
+    patterns = [p for m in range(5) for p in permutations(range(1, m + 1))]
+    for w in pm.all_perms(n):
+        for p in patterns:
+            assert pm.contains_pattern(w, p) == contains_pattern_by_scan(w, p)
+
+
+def test_contains_pattern_matches_the_scan_on_seeded_perms():
+    """Seeded permutations of degrees 7 to 10, both outcomes occurring
+    for every pattern."""
+    rng = random.Random(7)
+    patterns = [(4, 3, 2, 1), (4, 2, 3, 1), (3, 2, 1), (3, 1, 2),
+                (2, 4, 1, 3)]
+    seen = {p: set() for p in patterns}
+    for _ in range(1_000):
+        n = rng.randint(7, 10)
+        w = tuple(rng.sample(range(1, n + 1), n))
+        for p in patterns:
+            got = pm.contains_pattern(w, p)
+            assert got == contains_pattern_by_scan(w, p)
+            seen[p].add(got)
+    assert all(outcomes == {True, False} for outcomes in seen.values())
 
 
 @given(perms(6))
