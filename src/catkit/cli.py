@@ -245,11 +245,11 @@ def _is_prime(n: int) -> bool:
 
 def _cmd_hecke(args) -> int:
     n = args.n
-    if args.mul:
+    if args.mul is not None:
         a, b = _parse_perms(*args.mul)
         _check_degree(args, len(a), args.mul[0])
         _emit({"product": pm.format_perm(hecke.mul(a, b))}, args)
-    elif args.ideal:
+    elif args.ideal is not None:
         (w,) = _parse_perms(args.ideal)
         _check_degree(args, len(w), args.ideal)
         _emit({"ideal": _perm_strs(hecke.bruhat_ideal(w))}, args)
@@ -257,7 +257,7 @@ def _cmd_hecke(args) -> int:
         if n is None:
             raise SystemExit("--idempotents requires --n")
         _emit({"idempotents": _perm_strs(hecke.idempotents(n))}, args)
-    elif args.fold:
+    elif args.fold is not None:
         i, text = args.fold
         try:
             part = hecke.parse_partition(text)

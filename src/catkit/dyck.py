@@ -21,6 +21,7 @@ witness of alpha; it is an involution because inversion preserves
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator
 
 from . import permutations as pm
@@ -92,24 +93,10 @@ def path_to_map(path: DyckPath) -> MonotoneMap:
     """
     if not is_dyck_path(path):
         raise ValueError(f"not a Dyck path: {path!r}")
-    n = semilength(path)
-    runs = []  # D-run length after each U, in path order
-    count = None
-    for step in path:
-        if step == "U":
-            if count is not None:
-                runs.append(count)
-            count = 0
-        else:
-            count += 1
-    runs.append(count if count is not None else 0)
-    # the k-th U from the left carries the increment of position n+1-k
-    alpha = []
-    total = 0
-    for c in reversed(runs):
-        total += c
-        alpha.append(total)
-    return tuple(alpha)
+    runs = [len(run) for run in path.split("U")[1:]]  # D-run after each U
+    # of semilength n, the k-th U from the left carries the increment of
+    # position n+1-k
+    return tuple(accumulate(reversed(runs)))
 
 
 def _run_decomposition(path: DyckPath) -> tuple[list[int], list[int]]:
@@ -247,5 +234,6 @@ def is_admissible(first: DyckPath, second: DyckPath) -> bool:
 
 
 def brute_force_admissible_pairs(n: int) -> frozenset[PathPair]:
-    """All realized path pairs of S_n, by exhaustive scan; test oracle."""
+    """All realized path pairs of S_n, by exhaustive scan: the realized
+    side that the admissible-pairs check compares is_admissible with."""
     return frozenset(path_pair_of(w) for w in pm.all_perms(n))

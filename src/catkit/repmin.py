@@ -19,8 +19,9 @@ a spot check (the action matrices are 0/1, so the answers are
 characteristic-free).  The socle never builds a dense matrix: each piece
 is a nullspace on the coordinates its generators fix.
 
-Effectiveness checks compose column maps along reduced words, one gather
-per group element by dynamic programming over the element table.
+Effectiveness over a Coxeter system composes column maps along the
+element table, one gather per element; over the double Catalan monoid the
+generator maps are closed and matched against its own table.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from typing import Sequence
 
 from . import coxeter as cx
 from . import dcm
+from . import permutations as pm
 from .coxeter import CoxeterSystem
-from .monoid import gather
+from .monoid import DEFAULT_CAP, gather, generate_monoid, generators_match
 
 ColumnMap = tuple  # tuple[int | None, ...]
 
@@ -74,16 +76,11 @@ def drop_trivial_summand(module: HeckeModule) -> tuple[HeckeModule, HeckeModule]
         raise ValueError("module basis does not contain the longest element")
     keep = [k for k, w in enumerate(module.labels) if w != w0]
     renumber = {old: new for new, old in enumerate(keep)}
-    action = []
-    for colmap in module.action:
-        new_map = []
-        for old in keep:
-            img = colmap[old]
-            new_map.append(None if img not in renumber else renumber[img])
-        action.append(tuple(new_map))
+    action = tuple(tuple(renumber.get(colmap[old]) for old in keep)
+                   for colmap in module.action)
     reduced = HeckeModule(sys=sys,
                           labels=tuple(module.labels[k] for k in keep),
-                          action=tuple(action))
+                          action=action)
     trivial = HeckeModule(sys=sys, labels=(w0,),
                           action=tuple((0,) for _ in range(sys.rank)))
     return reduced, trivial
@@ -101,8 +98,8 @@ def direct_sum(modules: Sequence[HeckeModule]) -> HeckeModule:
     for mod in modules:
         labels.extend((offset, lab) for lab in mod.labels)
         for t in range(sys.rank):
-            for v in mod.action[t]:
-                action[t].append(None if v is None else v + offset)
+            action[t].extend(None if v is None else v + offset
+                             for v in mod.action[t])
         offset += mod.dim
     return HeckeModule(sys=sys, labels=tuple(labels),
                        action=tuple(tuple(col) for col in action))
@@ -132,33 +129,19 @@ def eigen_split(module: HeckeModule, t: int) -> EigenSplit:
     the kernel by the differences along its two-element basis orbits.  The
     two always fill the module, which is re-checked by exact rank.
     """
-    colmap = module.action[t]
+    colmap, d = module.action[t], module.dim
     fixed = tuple(j for j, img in enumerate(colmap) if img == j)
+    vectors = [[int(k == j) for k in range(d)] for j in fixed]
     pairs = []
     for j, img in enumerate(colmap):
-        if img != j and img is not None:
-            if colmap[img] != img:
-                raise RuntimeError("generator action not idempotent")
+        if img is not None and colmap[img] != img:
+            raise RuntimeError("generator action not idempotent")
+        if img != j:  # e_j - e_img is in the kernel; a None image is zero
             pairs.append((j, img))
-        elif img is None:
-            # projected-away image: e_t e_j = 0 vector, contributes to kernel
-            pairs.append((j, None))
-    kernel_pairs = tuple(pairs)
-    vectors = [_unit(module.dim, j) for j in fixed]
-    for j, img in kernel_pairs:
-        v = _unit(module.dim, j)
-        if img is not None:
-            v[img] = -1
-        vectors.append(v)
-    if len(vectors) != module.dim or matrix_rank(vectors) != module.dim:
+            vectors.append([(k == j) - (k == img) for k in range(d)])
+    if len(vectors) != d or matrix_rank(vectors) != d:
         raise RuntimeError("eigenspaces do not span the module")
-    return EigenSplit(fixed=fixed, kernel_pairs=kernel_pairs)
-
-
-def _unit(n: int, j: int) -> list[int]:
-    v = [0] * n
-    v[j] = 1
-    return v
+    return EigenSplit(fixed=fixed, kernel_pairs=tuple(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -421,26 +404,35 @@ def min_dim_report(sys: CoxeterSystem, p: int | None = None) -> dict:
     }
 
 
-def dc_min_dim(n: int) -> dict:
-    """The minimal effective module of the double Catalan monoid.
+def dc_module_action(n: int) -> list[tuple[int, ...]]:
+    """Column maps of the generators of DC_n on 2n - 2 points, with the
+    zero sentinel 2n - 2: the prefix maxima of s_i on points 1..n-1 and
+    its suffix minima on points n..2, in that order, an image on the fixed
+    end point n or 1 (the dropped trivial summands) becoming zero."""
+    d = 2 * n - 2
+    action = []
+    for i in range(1, n):
+        s = pm.simple_transposition(i, n)
+        first = [d if v == n else v - 1 for v in pm.ltr_maxima(s)[:-1]]
+        second = [d if v == 1 else d + 1 - v for v in pm.rtl_minima(s)[:0:-1]]
+        action.append(tuple(first + second + [d]))
+    return action
 
-    Direct sum of the reduced projectives of the first and last generators
-    of the degree-n symmetric system; the action is constant on projection
-    fibers (checked), so it is a module over the quotient, of dimension
-    2n - 2, and distinct quotient elements must act by distinct matrices.
-    """
+
+def dc_min_dim(n: int) -> dict:
+    """The 2n - 2 dimensional effective module of DC_n, certified on DC_n.
+
+    A column map fixing the zero sentinel is a 0/1 matrix with at most one
+    1 per column, and a gather of maps multiplies the matrices, so g_i -> A_i
+    is a well-defined faithful DC_n-module iff it extends to an isomorphism
+    of DC_n onto the closure of the maps: generators_match.  DC_n is closed
+    first, so that a degree too large stops on its own cap."""
     if n < 2:
         raise ValueError("degree must be at least 2")
-    sys = cx.type_a(n - 1)
-    first = drop_trivial_summand(projective_module(sys, 0))[0]
-    last = drop_trivial_summand(projective_module(sys, sys.rank - 1))[0]
-    total = direct_sum([first, last])
-    maps = element_column_maps(sys, total)
-    by_image: dict = {}
-    for i in range(sys.order):
-        w = tuple(x + 1 for x in sys.elements[i])
-        x = dcm.dc_of_perm(w)
-        if by_image.setdefault(x, maps[i]) != maps[i]:
-            raise RuntimeError("action does not factor through the projection")
-    effective = len(set(by_image.values())) == len(by_image) == len(dcm.dc_monoid(n))
-    return {"n": n, "dim": total.dim, "effective": effective}
+    table = dcm.dc_monoid(n)
+    action = dc_module_action(n)
+    act = {g: gather(g) for g in action}
+    image = generate_monoid(action, lambda x, g: act[g](x),
+                            tuple(range(2 * n - 1)), DEFAULT_CAP)
+    return {"n": n, "dim": 2 * n - 2,
+            "effective": generators_match(image, table)}

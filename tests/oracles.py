@@ -6,6 +6,7 @@ from typing import Iterator
 
 from catkit import boolmat as bm
 from catkit import coxeter as cx
+from catkit import dcm
 from catkit import hecke
 from catkit import permutations as pm
 from catkit import repmin as rm
@@ -324,3 +325,28 @@ def socle_by_dense_rows(module: rm.HeckeModule, p=None) -> rm.SocleReport:
         if basis:
             report[J] = basis
     return report
+
+
+def dc_min_dim_by_projection(n: int) -> dict:
+    """The minimal effective module of the double Catalan monoid.
+
+    Direct sum of the reduced projectives of the first and last generators
+    of the degree-n symmetric system; the action is constant on projection
+    fibers (checked), so it is a module over the quotient, of dimension
+    2n - 2, and distinct quotient elements must act by distinct matrices.
+    """
+    if n < 2:
+        raise ValueError("degree must be at least 2")
+    sys = cx.type_a(n - 1)
+    first = rm.drop_trivial_summand(rm.projective_module(sys, 0))[0]
+    last = rm.drop_trivial_summand(rm.projective_module(sys, sys.rank - 1))[0]
+    total = rm.direct_sum([first, last])
+    maps = rm.element_column_maps(sys, total)
+    by_image: dict = {}
+    for i in range(sys.order):
+        w = tuple(x + 1 for x in sys.elements[i])
+        x = dcm.dc_of_perm(w)
+        if by_image.setdefault(x, maps[i]) != maps[i]:
+            raise RuntimeError("action does not factor through the projection")
+    effective = len(set(by_image.values())) == len(by_image) == len(dcm.dc_monoid(n))
+    return {"n": n, "dim": total.dim, "effective": effective}

@@ -38,6 +38,12 @@ def test_hecke_ideal(capsys):
     assert report["result"]["ideal"] == ["123", "132", "213", "231"]
 
 
+def test_hecke_ideal_of_degree_zero(capsys):
+    code, report = run_cli(capsys, "hecke", "--ideal", "")
+    assert code == 0
+    assert report["result"]["ideal"] == [""]
+
+
 def test_hecke_idempotents(capsys):
     _, report = run_cli(capsys, "hecke", "--n", "4", "--idempotents")
     assert len(report["result"]["idempotents"]) == 8
@@ -117,7 +123,7 @@ def test_bad_matrices_paths_and_maps_exit_with_a_message(capsys, argv,
     ["dcm", "--n", "3", "count", "--cap", "-3"],
     ["verify-all", "--n-max", "0"],
     ["verify-all", "--n-max", "-1"],
-    ["repmin", "--dc", "8"],  # A7 exceeds the default cap
+    ["repmin", "--dc", "9"],  # DC_9 exceeds the default cap
     ["dcm", "psi", "1", "--cap", "3"],
     ["dcm", "fiber", "1111,1111,1111,1111", "--cap", "3"],
     ["dcm", "--n", "4", "verify-presentation", "--cap", "30"],
@@ -315,6 +321,17 @@ def test_dyck_commands(capsys):
     assert report["result"]["map"] == "233"
 
 
+def test_dyck_commands_at_semilength_zero(capsys):
+    _, report = run_cli(capsys, "dyck", "map", "")
+    assert report["result"]["map"] == ""
+    _, report = run_cli(capsys, "dyck", "path", "")
+    assert report["result"]["path"] == ""
+    _, report = run_cli(capsys, "dyck", "derivative", "")
+    assert report["result"]["derivative"] == ""
+    _, report = run_cli(capsys, "dyck", "admissible", "", "")
+    assert report["result"]["admissible"] is True
+
+
 def test_coxeter_info(capsys):
     _, report = run_cli(capsys, "coxeter", "--type", "B3")
     assert report["result"]["order"] == 48
@@ -354,6 +371,9 @@ def test_repmin_report(capsys):
 def test_repmin_dc(capsys):
     _, report = run_cli(capsys, "repmin", "--dc", "4")
     assert report["result"] == {"n": 4, "dim": 6, "effective": True}
+    # certified on DC_8 (15,767 elements) at the default cap
+    _, report = run_cli(capsys, "repmin", "--dc", "8")
+    assert report["result"] == {"n": 8, "dim": 14, "effective": True}
 
 
 def test_verify_all(capsys):

@@ -39,6 +39,7 @@ def test_path_conventions():
     assert dyck.map_to_path((4, 4, 4, 4)) == "UUUUDDDD"
     assert dyck.map_to_path((3, 3, 4, 5, 5, 6)) == "UDUUDUDUUDDD"
     assert dyck.path_to_map("UUDUDD") == (2, 3, 3)
+    assert dyck.path_to_map("") == ()
 
 
 @given(monotone_maps())
@@ -48,10 +49,11 @@ def test_map_path_roundtrip(alpha):
     assert dyck.path_to_map(path) == alpha
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7])
 def test_bijection_between_maps_and_paths(n):
     images = {dyck.map_to_path(a) for a in pm.all_nondecreasing_maps(n)}
     assert images == set(dyck.all_dyck_paths(n))
+    assert all(dyck.map_to_path(dyck.path_to_map(p)) == p for p in images)
 
 
 def test_valley_completions():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from catkit import coxeter as cx
 from catkit import repmin as rm
+from catkit import verify
 
 import oracles
 
@@ -242,6 +244,43 @@ def test_dc_min_dim(n):
     rep = rm.dc_min_dim(n)
     assert rep["dim"] == 2 * n - 2
     assert rep["effective"]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_dc_min_dim_matches_the_projection_route(n):
+    assert rm.dc_min_dim(n) == oracles.dc_min_dim_by_projection(n)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_dc_module_action_is_the_sum_of_the_end_projectives(n):
+    """The generator maps are the action of the reduced projectives of the
+    first and last generators of the symmetric system, zero as sentinel."""
+    sys = cx.type_a(n - 1)
+    total = rm.direct_sum([
+        rm.drop_trivial_summand(rm.projective_module(sys, s))[0]
+        for s in (0, sys.rank - 1)])
+    d = total.dim
+    assert rm.dc_module_action(n) == [
+        tuple(d if i is None else i for i in colmap) + (d,)
+        for colmap in total.action]
+
+
+def test_a_wrong_generator_entry_is_not_effective(monkeypatch):
+    """Sending one point of one generator to a wrong vector breaks the
+    isomorphism with DC_4; verify-all reports it as a counterexample."""
+    action = rm.dc_module_action
+
+    def wrong(n):
+        maps = action(n)
+        if n == 4:
+            maps[0] = (2,) + maps[0][1:]  # s_1 sends point 1 to 3, not 2
+        return maps
+
+    monkeypatch.setattr(rm, "dc_module_action", wrong)
+    assert rm.dc_min_dim(4) == {"n": 4, "dim": 6, "effective": False}
+    result = verify.check_dc_min_dim(6, random.Random(0))
+    assert not result.passed
+    assert result.counterexample == {"n": 4, "dim": 6, "effective": False}
 
 
 def test_basis_permutation_agrees_with_coset_projection():
