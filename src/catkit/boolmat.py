@@ -73,10 +73,6 @@ class BoolMat:
     def entry(self, i: int, j: int) -> int:
         return self.bits >> ((i - 1) * self.n + j - 1) & 1
 
-    def column_support(self, j: int) -> frozenset[int]:
-        return frozenset(i + 1 for i in range(self.n)
-                         if self.bits >> (i * self.n + j - 1) & 1)
-
     def __str__(self) -> str:
         return "\n".join(to_row_strings(self))
 

@@ -42,7 +42,7 @@ from . import permutations as pm
 from .boolmat import BoolMat
 from .monoid import (DEFAULT_CAP, MonoidTable, enumerate_presentation,
                      gather, generate_monoid, generators_match)
-from .permutations import MonotoneMap, Perm
+from .permutations import MonotoneMap, Perm, bruhat_covers
 
 
 class InternalInconsistency(AssertionError):
@@ -156,23 +156,6 @@ def fiber(x: BoolMat) -> tuple[Perm, ...]:
     return members
 
 
-def _bruhat_covers(u: Perm) -> Iterator[Perm]:
-    """The permutations covering u in the Bruhat order: the products
-    u*(i j) with u(i) < u(j) and no k between i and j having
-    u(i) < u(k) < u(j) (Björner and Brenti, Combinatorics of Coxeter
-    Groups, Lemma 2.1.4)."""
-    n = len(u)
-    for i in range(n - 1):
-        low = u[i]
-        ceiling = n + 1   # least value above low seen between i and j
-        for j in range(i + 1, n):
-            if low < u[j] < ceiling:
-                v = list(u)
-                v[i], v[j] = u[j], low
-                yield tuple(v)
-                ceiling = u[j]
-
-
 def _bruhat_convex(members: Collection[Perm], tops: Collection[Perm]) -> bool:
     """Whether members are convex in the Bruhat order, given tops among them
     with every member below some top.
@@ -183,7 +166,7 @@ def _bruhat_convex(members: Collection[Perm], tops: Collection[Perm]) -> bool:
     members at an exit, and that exit lies below w, hence below a top.
     """
     member_set = set(members)
-    exits = {v for u in member_set for v in _bruhat_covers(u)
+    exits = {v for u in member_set for v in bruhat_covers(u)
              if v not in member_set}
     return not any(pm.bruhat_leq(v, w) for v in exits for w in tops)
 
@@ -209,7 +192,7 @@ def _bruhat_maximal(members: tuple[Perm, ...]) -> frozenset[Perm]:
     """
     member_set = set(members)
     candidates = [u for u in members
-                  if not any(v in member_set for v in _bruhat_covers(u))]
+                  if not any(v in member_set for v in bruhat_covers(u))]
     if len(candidates) == 1:
         return frozenset(candidates)
     return frozenset(

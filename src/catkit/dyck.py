@@ -20,11 +20,13 @@ witness of alpha; it is an involution because inversion preserves
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
+from operator import or_
 from typing import Iterator
 
 from . import permutations as pm
+from .dcm import catalan_monoid
 from .permutations import MonotoneMap, Perm
 
 DyckPath = str
@@ -164,8 +166,8 @@ def _factor_sets(alpha: MonotoneMap) -> tuple[frozenset, frozenset]:
 def factor_order_leq(alpha: MonotoneMap, beta: MonotoneMap) -> bool:
     """Two-sided divisibility: beta is both a left and a right multiple of alpha.
 
-    Brute force over the non-decreasing Catalan monoid; intended for small
-    degrees.
+    Brute force over the non-decreasing Catalan monoid, for one pair at a
+    time (`catkit dyck prec`); factor_order_sets gives the whole relation.
     """
     if len(alpha) != len(beta):
         raise ValueError("degree mismatch")
@@ -194,6 +196,45 @@ def cover_order_leq(alpha: MonotoneMap, beta: MonotoneMap) -> bool:
     if len(alpha) != len(beta):
         raise ValueError("degree mismatch")
     return map_to_path(tuple(beta)) in _cover_reachable(map_to_path(tuple(alpha)))
+
+
+def _indexed(n: int) -> tuple[list[DyckPath], dict[DyckPath, int]]:
+    paths = all_dyck_paths(n)
+    return paths, {p: k for k, p in enumerate(paths)}
+
+
+def factor_order_sets(n: int) -> list[int]:
+    """factor_order_leq on paths of semilength n as bitsets: bit j of
+    entry k is set iff the map of the j-th path of all_dyck_paths(n) is a
+    two-sided multiple of the map of the k-th.  With each product of
+    catalan_monoid(n) labelled by its path's bit, an element's right
+    multiples are the OR of its row of the product table and its left
+    multiples the OR of its column."""
+    paths, index = _indexed(n)
+    table = catalan_monoid(n)
+    labels = [1 << index[map_to_path(x)] for x in table.elements]
+    rows, cols = [], [0] * len(table)
+    for row in table.product_rows(labels):
+        rows.append(reduce(or_, row))
+        cols = list(map(or_, cols, row))
+    fo = [0] * len(paths)
+    for label, row, col in zip(labels, rows, cols):
+        fo[label.bit_length() - 1] = row & col
+    return fo
+
+
+def cover_order_sets(n: int) -> list[int]:
+    """cover_order_leq on paths of semilength n as bitsets, indexed as in
+    factor_order_sets.  One pass from the highest path down: a completion
+    trades D^b U^a for U^a D^b, so it raises the path and its set is done
+    before it is read."""
+    paths, index = _indexed(n)
+    up = [1 << k for k in range(len(paths))]
+    area = [sum(accumulate(1 if s == "U" else -1 for s in p)) for p in paths]
+    for k in sorted(range(len(paths)), key=area.__getitem__, reverse=True):
+        for q in valley_completions(paths[k]):
+            up[k] |= up[index[q]]
+    return up
 
 
 def kreweras_derivative(path: DyckPath) -> DyckPath:
@@ -233,7 +274,23 @@ def is_admissible(first: DyckPath, second: DyckPath) -> bool:
                                  path_to_map(first)))
 
 
+def admissible_sets(n: int) -> list[int]:
+    """is_admissible on paths of semilength n as bitsets, indexed as in
+    factor_order_sets: the partners of p are fo[D(p)] & back[p], D the
+    derivative and back[p] the q with p in fo[D(q)]."""
+    paths, index = _indexed(n)
+    fo = factor_order_sets(n)
+    above = [fo[index[kreweras_derivative(p)]] for p in paths]
+    back = [0] * len(paths)
+    for q, row in enumerate(above):
+        while row:
+            low = row & -row
+            back[low.bit_length() - 1] |= 1 << q
+            row ^= low
+    return [a & b for a, b in zip(above, back)]
+
+
 def brute_force_admissible_pairs(n: int) -> frozenset[PathPair]:
     """All realized path pairs of S_n, by exhaustive scan: the realized
-    side that the admissible-pairs check compares is_admissible with."""
+    side that the admissible-pairs check compares admissible_sets with."""
     return frozenset(path_pair_of(w) for w in pm.all_perms(n))

@@ -132,11 +132,6 @@ def fold(i: int, part: SetPartition) -> SetPartition:
     return tuple(out)
 
 
-def chamber_of(w: Perm) -> SetPartition:
-    """The chamber (all blocks singletons) attached to w."""
-    return tuple(frozenset({v}) for v in w)
-
-
 def format_partition(part: SetPartition) -> str:
     blocks = ("{" + ",".join(str(v) for v in sorted(block)) + "}"
               for block in part)

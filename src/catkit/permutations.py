@@ -158,6 +158,47 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
     return True
 
 
+def bruhat_covers(u: Perm) -> Iterator[Perm]:
+    """The permutations covering u in the Bruhat order: the products
+    u*(i j) with u(i) < u(j) and no k between i and j having
+    u(i) < u(k) < u(j) (Björner and Brenti, Combinatorics of Coxeter
+    Groups, Lemma 2.1.4)."""
+    n = len(u)
+    for i in range(n - 1):
+        low = u[i]
+        ceiling = n + 1   # least value above low seen between i and j
+        for j in range(i + 1, n):
+            if low < u[j] < ceiling:
+                v = list(u)
+                v[i], v[j] = u[j], low
+                yield tuple(v)
+                ceiling = u[j]
+
+
+def bruhat_ideals(n: int) -> list[int]:
+    """The principal Bruhat ideal of each permutation of all_perms(n), as a
+    bitset: bit j is set iff the j-th permutation lies below.  One pass in
+    length order, each level the covers of the one before: an ideal is its
+    own bit and the ideals of the elements it covers.
+
+    >>> bruhat_ideals(2)   # 12 is below 21
+    [1, 3]
+    """
+    perms = list(all_perms(n))
+    index = {w: k for k, w in enumerate(perms)}
+    ideals = [1 << k for k in range(len(perms))]
+    level = {0}   # the identity
+    while level:
+        above = set()
+        for k in level:
+            for v in bruhat_covers(perms[k]):
+                j = index[v]
+                ideals[j] |= ideals[k]
+                above.add(j)
+        level = above
+    return ideals
+
+
 def contains_pattern(w: Perm, p: Perm) -> bool:
     """True iff some subsequence of w is order-isomorphic to the
     permutation p.

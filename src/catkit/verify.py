@@ -110,27 +110,46 @@ def check_subset_realization(n_max: int, rng: random.Random) -> CheckResult:
     phi(x) phi(g) for every element x and generator g, then phi(x w) =
     phi(x) phi(w) for every w, by induction on the length of a word of w,
     since both products are associative.  So n! (n - 1) products stand in
-    for the (n!)^2 pairs.
+    for the (n!)^2 pairs.  The ideals are bitsets over the lexicographic
+    order, built from the Bruhat covers (pm.bruhat_ideals), not from the
+    0-Hecke product under test, and phi(x) s_i is a bit permutation.
     """
     name = "subset-realization"
     for n in range(1, min(n_max, 5) + 1):
         perms = list(pm.all_perms(n))
         idx = {w: k for k, w in enumerate(perms)}
-        ideals = [frozenset(idx[u] for u in perms if pm.bruhat_leq(u, w))
-                  for w in perms]
+        ideals = pm.bruhat_ideals(n)
         if len(set(ideals)) != len(perms):
             return _fail(name, {"n": n, "reason": "ideal map not injective"})
         e = idx[pm.identity(n)]
-        if ideals[e] != {e}:
+        if ideals[e] != 1 << e:
             return _fail(name, {"n": n, "reason": "identity not fixed"})
         for i in range(1, n):
-            times_s = [idx[pm.mul_simple_right(u, i)] for u in perms]
+            times_s = _times_simple(perms, idx, i)
             for x, ideal in zip(perms, ideals):
-                got = ideal.union([times_s[u] for u in ideal])
+                got = ideal | times_s(ideal)
                 if got != ideals[idx[hecke.gen_mul(i, x, side="right")]]:
                     return _fail(name, {"n": n, "x": pm.format_perm(x),
                                         "generator": i})
     return CheckResult(name, True, {"range": f"1..{min(n_max, 5)}"})
+
+
+def _times_simple(perms: list, idx: dict, i: int) -> Callable[[int], int]:
+    """S -> S s_i on bitsets over perms (idx their index), by one delta swap
+    per distance (Knuth, TAOCP 4A, 7.1.3): s_i pairs each u with
+    u(i) < u(i+1) with a later permutation, at n - i distances in all."""
+    masks: dict[int, int] = {}
+    for k, u in enumerate(perms):
+        if u[i - 1] < u[i]:
+            delta = idx[pm.mul_simple_right(u, i)] - k
+            masks[delta] = masks.get(delta, 0) | 1 << k
+
+    def apply(x: int) -> int:
+        for delta, mask in masks.items():
+            t = (x ^ x >> delta) & mask
+            x ^= t | t << delta
+        return x
+    return apply
 
 
 def convex_closure(n: int) -> MonoidTable:
@@ -379,27 +398,39 @@ def check_kreweras_involution(n_max: int, rng: random.Random) -> CheckResult:
 
 
 def check_order_equivalence(n_max: int, rng: random.Random) -> CheckResult:
-    """Two-sided divisibility equals the valley-completion cover order."""
+    """Two-sided divisibility equals the valley-completion cover order,
+    compared as one bitset per map: dyck.factor_order_sets against
+    dyck.cover_order_sets."""
     name = "factor-order-covers"
     for n in range(1, min(n_max, 5) + 1):
         maps = list(pm.all_nondecreasing_maps(n))
-        for a in maps:
-            for b in maps:
-                if dyck.factor_order_leq(a, b) != dyck.cover_order_leq(a, b):
-                    return _fail(name, {"n": n, "a": list(a), "b": list(b)})
+        index = {p: k for k, p in enumerate(dyck.all_dyck_paths(n))}
+        bits = [index[dyck.map_to_path(a)] for a in maps]
+        fo, up = dyck.factor_order_sets(n), dyck.cover_order_sets(n)
+        for a, k in zip(maps, bits):
+            diff = fo[k] ^ up[k]
+            if diff:
+                b = next(b for b, j in zip(maps, bits) if diff >> j & 1)
+                return _fail(name, {"n": n, "a": list(a), "b": list(b)})
     return CheckResult(name, True, {"range": f"1..{min(n_max, 5)}"})
 
 
 def check_admissible_pairs(n_max: int, rng: random.Random) -> CheckResult:
-    """The order criterion recognizes exactly the realized path pairs."""
+    """The order criterion recognizes exactly the realized path pairs,
+    compared as one bitset per path: dyck.admissible_sets against the
+    pairs of all of S_n."""
     name = "admissible-pairs"
     for n in range(1, min(n_max, 6) + 1):
-        realized = dyck.brute_force_admissible_pairs(n)
         paths = dyck.all_dyck_paths(n)
-        for p1 in paths:
-            for p2 in paths:
-                if dyck.is_admissible(p1, p2) != ((p1, p2) in realized):
-                    return _fail(name, {"n": n, "first": p1, "second": p2})
+        index = {p: k for k, p in enumerate(paths)}
+        realized = [0] * len(paths)
+        for p1, p2 in dyck.brute_force_admissible_pairs(n):
+            realized[index[p1]] |= 1 << index[p2]
+        for p1, got, want in zip(paths, dyck.admissible_sets(n), realized):
+            diff = got ^ want
+            if diff:
+                p2 = paths[(diff & -diff).bit_length() - 1]
+                return _fail(name, {"n": n, "first": p1, "second": p2})
     return CheckResult(name, True, {"range": f"1..{min(n_max, 6)}"})
 
 

@@ -7,10 +7,12 @@ from typing import Iterator
 from catkit import boolmat as bm
 from catkit import coxeter as cx
 from catkit import dcm
+from catkit import dyck
 from catkit import hecke
 from catkit import permutations as pm
 from catkit import repmin as rm
 from catkit.monoid import generate_monoid
+from catkit.verify import CheckResult, _fail
 
 
 def word_to_perm(word, n: int) -> pm.Perm:
@@ -21,9 +23,14 @@ def word_to_perm(word, n: int) -> pm.Perm:
     return acc
 
 
+def chamber_of(w: pm.Perm) -> hecke.SetPartition:
+    """The chamber (all blocks singletons) attached to w."""
+    return tuple(frozenset({v}) for v in w)
+
+
 def all_chambers(n: int) -> list[hecke.SetPartition]:
     """The chambers of all of S_n, in the order of pm.all_perms."""
-    return [hecke.chamber_of(w) for w in pm.all_perms(n)]
+    return [chamber_of(w) for w in pm.all_perms(n)]
 
 
 def all_nonincreasing_maps(n: int) -> Iterator[pm.MonotoneMap]:
@@ -116,6 +123,11 @@ def bruhat_ideal_by_subwords(w: pm.Perm) -> frozenset[pm.Perm]:
 
 def all_ones(n: int) -> bm.BoolMat:
     return bm.from_bits(n, (1 << (n * n)) - 1)
+
+
+def column_support(a: bm.BoolMat, j: int) -> frozenset[int]:
+    """The rows i with the entry (i, j) set."""
+    return frozenset(i + 1 for i in range(a.n) if a.entry(i + 1, j))
 
 
 def subset_leq(a: bm.BoolMat, b: bm.BoolMat) -> bool:
@@ -350,3 +362,59 @@ def dc_min_dim_by_projection(n: int) -> dict:
             raise RuntimeError("action does not factor through the projection")
     effective = len(set(by_image.values())) == len(by_image) == len(dcm.dc_monoid(n))
     return {"n": n, "dim": total.dim, "effective": effective}
+
+
+# ---------------------------------------------------------------------------
+# Three verify-all checks pair by pair: the references of the bitset checks.
+
+def check_subset_realization_by_pairs(n_max: int,
+                                      rng: random.Random) -> CheckResult:
+    """subset-realization with each ideal a frozenset of indices, read off
+    pm.bruhat_leq on every pair, and phi(x) s_i one index at a time."""
+    name = "subset-realization"
+    for n in range(1, min(n_max, 5) + 1):
+        perms = list(pm.all_perms(n))
+        idx = {w: k for k, w in enumerate(perms)}
+        ideals = [frozenset(idx[u] for u in perms if pm.bruhat_leq(u, w))
+                  for w in perms]
+        if len(set(ideals)) != len(perms):
+            return _fail(name, {"n": n, "reason": "ideal map not injective"})
+        e = idx[pm.identity(n)]
+        if ideals[e] != {e}:
+            return _fail(name, {"n": n, "reason": "identity not fixed"})
+        for i in range(1, n):
+            times_s = [idx[pm.mul_simple_right(u, i)] for u in perms]
+            for x, ideal in zip(perms, ideals):
+                got = ideal.union([times_s[u] for u in ideal])
+                if got != ideals[idx[hecke.gen_mul(i, x, side="right")]]:
+                    return _fail(name, {"n": n, "x": pm.format_perm(x),
+                                        "generator": i})
+    return CheckResult(name, True, {"range": f"1..{min(n_max, 5)}"})
+
+
+def check_order_equivalence_by_pairs(n_max: int,
+                                     rng: random.Random) -> CheckResult:
+    """factor-order-covers by factor_order_leq and cover_order_leq on
+    every pair of maps."""
+    name = "factor-order-covers"
+    for n in range(1, min(n_max, 5) + 1):
+        maps = list(pm.all_nondecreasing_maps(n))
+        for a in maps:
+            for b in maps:
+                if dyck.factor_order_leq(a, b) != dyck.cover_order_leq(a, b):
+                    return _fail(name, {"n": n, "a": list(a), "b": list(b)})
+    return CheckResult(name, True, {"range": f"1..{min(n_max, 5)}"})
+
+
+def check_admissible_pairs_by_pairs(n_max: int,
+                                    rng: random.Random) -> CheckResult:
+    """admissible-pairs by is_admissible on every pair of paths."""
+    name = "admissible-pairs"
+    for n in range(1, min(n_max, 6) + 1):
+        realized = dyck.brute_force_admissible_pairs(n)
+        paths = dyck.all_dyck_paths(n)
+        for p1 in paths:
+            for p2 in paths:
+                if dyck.is_admissible(p1, p2) != ((p1, p2) in realized):
+                    return _fail(name, {"n": n, "first": p1, "second": p2})
+    return CheckResult(name, True, {"range": f"1..{min(n_max, 6)}"})

@@ -429,6 +429,10 @@ PINNED_DIGESTS = [
      "6191c7e1844cdc6cdfe960b7f83bd3f29cede7078df77fc4c089f8aa881b6024"),
     (["coxeter", "--type", "B3", "--quotient", "catalan", "--J", "s1"],
      "c6b707256c268d1d2d9b3100c9891497f52a300b31a905e6d3574115300c8446"),
+    (["verify-all", "--n-max", "5"],
+     "8d45b105e55ca272ff736a5f45a0f0d0547eff9097a82cf535af62e5e779d590"),
+    (["verify-all", "--n-max", "6"],
+     "3193772e2e3766990734c651200863da2b0117e997b82bf4b306bb9d9f0d5df8"),
 ]
 
 

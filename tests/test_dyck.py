@@ -157,3 +157,29 @@ def test_admissibility_matches_brute_force(n):
     for p1 in paths:
         for p2 in paths:
             assert dyck.is_admissible(p1, p2) == ((p1, p2) in realized)
+
+
+def _pairs(sets, n):
+    """The relation of bitsets indexed by all_dyck_paths(n), as path pairs."""
+    paths = dyck.all_dyck_paths(n)
+    return {(p, q) for p, row in zip(paths, sets)
+            for j, q in enumerate(paths) if row >> j & 1}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_order_sets_match_the_pairwise_orders(n):
+    paths = dyck.all_dyck_paths(n)
+    maps = [dyck.path_to_map(p) for p in paths]
+    factor = {(p, q) for p, a in zip(paths, maps) for q, b in zip(paths, maps)
+              if dyck.factor_order_leq(a, b)}
+    cover = {(p, q) for p, a in zip(paths, maps) for q, b in zip(paths, maps)
+             if dyck.cover_order_leq(a, b)}
+    assert _pairs(dyck.factor_order_sets(n), n) == factor
+    assert _pairs(dyck.cover_order_sets(n), n) == cover
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_admissible_sets_match_is_admissible(n):
+    paths = dyck.all_dyck_paths(n)
+    assert _pairs(dyck.admissible_sets(n), n) == {
+        (p, q) for p in paths for q in paths if dyck.is_admissible(p, q)}

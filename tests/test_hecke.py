@@ -5,7 +5,7 @@ from catkit import hecke
 from catkit import permutations as pm
 from catkit.monoid import generate_monoid
 
-from oracles import all_chambers, bruhat_ideal_by_subwords
+from oracles import all_chambers, bruhat_ideal_by_subwords, chamber_of
 
 
 def perms(n_max=5):
@@ -178,8 +178,8 @@ def test_fold_matches_chamber_action():
     for n in (2, 3, 4):
         for w in pm.all_perms(n):
             for i in range(1, n):
-                folded = hecke.fold(i, hecke.chamber_of(w))
-                assert folded == hecke.chamber_of(hecke.gen_mul(i, w, "left"))
+                folded = hecke.fold(i, chamber_of(w))
+                assert folded == chamber_of(hecke.gen_mul(i, w, "left"))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -260,3 +260,11 @@ def test_format_perm_round_trips(w):
     text = pm.format_perm(w)
     assert ("," in text) == (len(w) >= 10)
     assert pm.parse_perm(text) == w
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bruhat_ideals_match_bruhat_leq(n):
+    perms = list(pm.all_perms(n))
+    assert pm.bruhat_ideals(n) == [
+        sum(1 << j for j, u in enumerate(perms) if pm.bruhat_leq(u, w))
+        for w in perms]

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from catkit import boolmat as bm
+from catkit import dyck
 from catkit import permutations as pm
 from catkit import verify
 from catkit.verify import ALL_CHECKS, run_verify_all
 
+import oracles
 from oracles import all_ones, random_convex_by_randint
 
 
@@ -214,3 +216,49 @@ def test_coset_max_reps_records_a_wrong_order(monkeypatch):
     result = verify.check_coset_max_reps(4, random.Random(0))
     assert result.passed is False
     assert result.counterexample == {"type": "A3", "J": [0], "u": 2, "w": 1}
+
+
+@pytest.mark.parametrize("check,reference", [
+    (verify.check_subset_realization,
+     oracles.check_subset_realization_by_pairs),
+    (verify.check_order_equivalence,
+     oracles.check_order_equivalence_by_pairs),
+    (verify.check_admissible_pairs,
+     oracles.check_admissible_pairs_by_pairs)])
+@pytest.mark.parametrize("n_max", range(1, 7))
+def test_bitset_checks_match_their_pairwise_references(check, reference,
+                                                       n_max):
+    assert check(n_max, random.Random(0)) == reference(n_max,
+                                                       random.Random(0))
+
+
+def test_factor_order_covers_fails_on_one_dropped_cover(monkeypatch):
+    """Without the completion UDUDUUDD -> UUDDUUDD, 2234 no longer reaches
+    2244 in the cover order; 1234 still does, by a two-valley completion."""
+    completions = dyck.valley_completions
+
+    def dropped(path):
+        covers = completions(path)
+        return covers - {"UUDDUUDD"} if path == "UDUDUUDD" else covers
+
+    monkeypatch.setattr(verify.dyck, "valley_completions", dropped)
+    result = verify.check_order_equivalence(5, random.Random(0))
+    assert not result.passed
+    assert result.counterexample == {"n": 4, "a": [2, 2, 3, 4],
+                                     "b": [2, 2, 4, 4]}
+
+
+def test_admissible_pairs_fails_on_one_wrong_derivative(monkeypatch):
+    """A derivative that sends UUUDDDUD to the pyramid, not to UUDUDDUD,
+    first shows at the earlier path UUDUDDUD, whose partner UUUDDDUD it
+    takes away."""
+    derivative = dyck.kreweras_derivative
+
+    def wrong(path):
+        return "UUUUDDDD" if path == "UUUDDDUD" else derivative(path)
+
+    monkeypatch.setattr(verify.dyck, "kreweras_derivative", wrong)
+    result = verify.check_admissible_pairs(5, random.Random(0))
+    assert not result.passed
+    assert result.counterexample == {"n": 4, "first": "UUDUDDUD",
+                                     "second": "UUUDDDUD"}
