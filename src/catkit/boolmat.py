@@ -15,10 +15,15 @@ Convex relations are the reflexive ones whose row and column supports are
 all intervals; they form a submonoid isomorphic to the product of the two
 Catalan monoids via the column max/min maps, with inverse given by interval
 fill.  Both directions of that isomorphism live here.
+
+mul_union_lanes multiplies a whole block of pairs at once: each matrix
+of degree n <= 8 sits in its own 32- or 64-bit lane of one integer, and
+the n steps of the product run on all lanes together.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
@@ -121,6 +126,50 @@ def mul(a: BoolMat, b: BoolMat) -> BoolMat:
     return from_bits(n, out)
 
 
+def mul_union_lanes(n: int, left: Sequence[int],
+                    right: Sequence[int]) -> tuple[tuple[int, ...],
+                                                   tuple[int, ...]]:
+    """The bits of the products and of the unions of the degree-n
+    matrices with bits left[t] and right[t], for a block of pairs at once.
+
+    Each matrix sits in its own lane of one integer, 32 bits wide when
+    n^2 <= 32 and 64 bits when n^2 <= 64.  For each k, column k of every
+    left factor is spread along its rows by a multiplication by 2^n - 1,
+    row k of every right factor is copied to all n rows by a
+    multiplication by _spaced(n, n), and the AND of the two is ORed in.
+    Neither multiplication leaves the n^2 bits of its lane, and a shift
+    by at most k*n brings no bit of the next lane under the masks, so no
+    lane carries into another.
+
+    >>> a = from_row_strings(["110", "010", "011"])
+    >>> b = from_row_strings(["100", "011", "001"])
+    >>> products, unions = mul_union_lanes(3, [a.bits, b.bits],
+    ...                                    [b.bits, a.bits])
+    >>> products == ((a * b).bits, (b * a).bits)
+    True
+    >>> unions == (union(a, b).bits,) * 2
+    True
+    """
+    count = len(left)
+    if len(right) != count:
+        raise ValueError(f"block sizes differ: {count} != {len(right)}")
+    if n * n > 64:
+        raise ValueError(f"degree {n} does not fit a 64-bit lane")
+    code, width = ("I", 4) if n * n <= 32 else ("Q", 8)
+    layout = f"<{count}{code}"
+    x = int.from_bytes(struct.pack(layout, *left), "little")
+    y = int.from_bytes(struct.pack(layout, *right), "little")
+    lanes = int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")
+    row, spread = (1 << n) - 1, _spaced(n, n)
+    first, mask = spread * lanes, row * lanes
+    out = 0
+    for k in range(n):
+        out |= (x >> k & first) * row & (y >> k * n & mask) * spread
+    size = count * width
+    return (struct.unpack(layout, out.to_bytes(size, "little")),
+            struct.unpack(layout, (x | y).to_bytes(size, "little")))
+
+
 def _column_or(n: int,
                keys: Iterable[Hashable]) -> Callable[[int, Hashable], int]:
     """step(x, keys[i-1]) is the bits x times I + the transposition of
@@ -219,18 +268,15 @@ def _interval_fill(alpha: Sequence[int], beta: Sequence[int]) -> BoolMat:
 
 
 def enumerate_convex(n: int) -> Iterator[BoolMat]:
-    """All convex relations, by brute-force filter over reflexive matrices.
-
-    Exponential; only a test oracle for small n.
+    """All convex relations of degree n: each row an interval of bits
+    through its diagonal bit, (i + 1)(n - i) choices for row i, and of
+    those choices the ones whose columns are intervals too.
     """
-    free_rows = []
-    for i in range(n):
-        diag = 1 << i
-        free_rows.append([diag | m_lo | (m_hi << (i + 1))
-                          for m_lo in range(1 << i)
-                          for m_hi in range(1 << (n - i - 1))])
-    for rows in _iproduct(*free_rows):
-        m = BoolMat(n, rows)
+    rows = [[((1 << hi + 1) - (1 << lo)) << i * n
+             for lo in range(i + 1) for hi in range(i, n)]
+            for i in range(n)]
+    for choice in _iproduct(*rows):
+        m = from_bits(n, sum(choice))
         if is_convex(m):
             yield m
 

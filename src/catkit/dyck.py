@@ -175,29 +175,6 @@ def factor_order_leq(alpha: MonotoneMap, beta: MonotoneMap) -> bool:
     return beta in left and beta in right
 
 
-@lru_cache(maxsize=None)
-def _cover_reachable(path: DyckPath) -> frozenset[DyckPath]:
-    """Reflexive-transitive closure of valley completion, from path upward."""
-    seen = {path}
-    frontier = [path]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in valley_completions(p):
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def cover_order_leq(alpha: MonotoneMap, beta: MonotoneMap) -> bool:
-    """Order by chains of valley completions, pulled back through the path map."""
-    if len(alpha) != len(beta):
-        raise ValueError("degree mismatch")
-    return map_to_path(tuple(beta)) in _cover_reachable(map_to_path(tuple(alpha)))
-
-
 def _indexed(n: int) -> tuple[list[DyckPath], dict[DyckPath, int]]:
     paths = all_dyck_paths(n)
     return paths, {p: k for k, p in enumerate(paths)}
@@ -224,10 +201,11 @@ def factor_order_sets(n: int) -> list[int]:
 
 
 def cover_order_sets(n: int) -> list[int]:
-    """cover_order_leq on paths of semilength n as bitsets, indexed as in
-    factor_order_sets.  One pass from the highest path down: a completion
-    trades D^b U^a for U^a D^b, so it raises the path and its set is done
-    before it is read."""
+    """The cover order on paths of semilength n as bitsets, indexed as in
+    factor_order_sets: bit j of entry k is set iff a chain of valley
+    completions leads from the k-th path to the j-th.  One pass from the
+    highest path down: a completion trades D^b U^a for U^a D^b, so it
+    raises the path and its set is done before it is read."""
     paths, index = _indexed(n)
     up = [1 << k for k in range(len(paths))]
     area = [sum(accumulate(1 if s == "U" else -1 for s in p)) for p in paths]

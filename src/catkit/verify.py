@@ -166,23 +166,34 @@ def check_convex_monoid_iso(n_max: int, rng: random.Random) -> CheckResult:
     """Max/min maps give a bijective homomorphism of ordered monoids.
 
     Exhaustively for n <= 4: the closure of the interval fills of the
-    generator pairs is every convex relation (against the brute-force
-    enumeration), so the convex relations are closed under product; there
-    are Cat(n)^2 of them, and the pair map psi round-trips through
-    interval fill and is injective, so it is a bijection onto the product
-    of the two Catalan monoids.  psi is then a homomorphism because
-    psi(identity) = (id, id) and psi(a g) = psi(a) psi(g) along every edge
-    a -> a g of the right Cayley table: by induction on the length of a
-    word of b, psi(a b) = psi(a) psi(b) for all a and b, both products
-    being associative.  So |M| (2n - 2) products stand in for the |M|^2
-    pairs.  Beyond n = 4, 10,000 seeded samples per degree test the
-    product, the homomorphism and the union order pair by pair.  Draws
-    repeat (Cat(5)^2 = 1,764 relations against 20,000 draws at n = 5), so
-    each distinct drawn (alpha, beta) is filled, read back and round-tripped
-    once per degree.  Each product and union is read through a memo of
-    bm._map_pair by its bits, one per degree, and compose_map(f, g) is one
-    memoised gather per map g.  The memos share one copy of each of the
-    2 Cat(n) maps of a degree.
+    generator pairs is every convex relation (against bm.enumerate_convex,
+    which builds them row by row from intervals), so the convex relations
+    are closed under product; there are Cat(n)^2 of them, and the pair
+    map psi round-trips through interval fill and is injective, so it is a
+    bijection onto the product of the two Catalan monoids.  psi is then a
+    homomorphism because psi(identity) = (id, id) and psi(a g) = psi(a)
+    psi(g) along every edge a -> a g of the right Cayley table: by
+    induction on the length of a word of b, psi(a b) = psi(a) psi(b) for
+    all a and b, both products being associative.  So |M| (2n - 2)
+    products stand in for the |M|^2 pairs.
+
+    Beyond n = 4, 10,000 seeded samples per degree test the product, the
+    homomorphism and the union order pair by pair.  Draws repeat
+    (Cat(5)^2 = 1,764 relations against 20,000 draws at n = 5), so each
+    distinct drawn (alpha, beta) is filled, read back and round-tripped
+    once per degree.  The samples run in blocks of at most _BLOCK: a
+    block makes and reads its draws in sample order, then one
+    bm.mul_union_lanes call takes all of its products and unions, each
+    matrix in its own lane of one integer.  Each product and union is read
+    through a memo of bm._map_pair by its bits, one per degree, and
+    compose_map(f, g) is one memoised gather per map g.  The memos share
+    one copy of each of the 2 Cat(n) maps of a degree.
+
+    The failure reported is the first that a sample-by-sample loop would
+    meet.  A draw that from_map_pair refuses ends its block, and is
+    reported only after the samples before it pass.  Within a sample a
+    refused draw comes first, then a draw that is not convex, then a wrong
+    product or union.
     """
     name = "convex-monoid-iso"
     details = {}
@@ -229,33 +240,47 @@ def check_convex_monoid_iso(n_max: int, rng: random.Random) -> CheckResult:
         maps = {}  # one copy of each monotone map, for the memos below
         drawn = {}  # (alpha, beta) -> (its fill, the fill's pair or None)
         pair_of = _pair_memo(n, maps)
-        for _ in range(10_000):
-            key_a = _random_convex(n, rng)
-            key_b = _random_convex(n, rng)
-            try:
-                a, pa = drawn.get(key_a) or _read_draw(drawn, key_a, maps)
-                b, pb = drawn.get(key_b) or _read_draw(drawn, key_b, maps)
-            except ValueError as err:  # from_map_pair refused a draw
-                return _fail(name, {"n": n, "reason": f"sampler: {err}"})
-            if pa is None or pb is None:
-                return _fail(name, {
-                    "n": n, "a": bm.to_row_strings(a),
-                    "b": bm.to_row_strings(b),
-                    "reason": "a draw is not convex or fails its round trip"})
-            pab = pair_of[bm.mul(a, b).bits]
-            pu = pair_of[bm.union(a, b).bits]
-            ok = (pab is not None
-                  and pab[0] == composers[pb[0]](pa[0])
-                  and pab[1] == composers[pb[1]](pa[1])
-                  and pu is not None
-                  and all(map(le, pa[0], pu[0]))
-                  and all(map(ge, pa[1], pu[1])))
-            if not ok:
-                return _fail(name, {"n": n, "a": bm.to_row_strings(a),
-                                    "b": bm.to_row_strings(b)})
-            samples += 1
+        for start in range(0, 10_000, _BLOCK):
+            draws, refused = [], None
+            for _ in range(min(_BLOCK, 10_000 - start)):
+                key_a = _random_convex(n, rng)
+                key_b = _random_convex(n, rng)
+                try:
+                    a, pa = drawn.get(key_a) or _read_draw(drawn, key_a, maps)
+                    b, pb = drawn.get(key_b) or _read_draw(drawn, key_b, maps)
+                except ValueError as err:  # from_map_pair refused a draw
+                    refused = err  # reported after the samples before it
+                    break
+                draws.append((a, pa, b, pb))
+            products, unions = bm.mul_union_lanes(
+                n, [a.bits for a, _, _, _ in draws],
+                [b.bits for _, _, b, _ in draws])
+            for (a, pa, b, pb), ab, u in zip(draws, products, unions):
+                if pa is None or pb is None:
+                    return _fail(name, {
+                        "n": n, "a": bm.to_row_strings(a),
+                        "b": bm.to_row_strings(b),
+                        "reason": "a draw is not convex or fails its "
+                                  "round trip"})
+                pab = pair_of[ab]
+                pu = pair_of[u]
+                ok = (pab is not None
+                      and pab[0] == composers[pb[0]](pa[0])
+                      and pab[1] == composers[pb[1]](pa[1])
+                      and pu is not None
+                      and all(map(le, pa[0], pu[0]))
+                      and all(map(ge, pa[1], pu[1])))
+                if not ok:
+                    return _fail(name, {"n": n, "a": bm.to_row_strings(a),
+                                        "b": bm.to_row_strings(b)})
+                samples += 1
+            if refused is not None:
+                return _fail(name, {"n": n, "reason": f"sampler: {refused}"})
     details["samples"] = samples
     return CheckResult(name, True, details)
+
+
+_BLOCK = 1024  # samples per lane block, bounding what one block holds
 
 
 class _Memo(dict):

@@ -26,7 +26,7 @@ from catkit import permutations as pm
 from catkit import repmin as rm
 from catkit.monoid import generate_monoid, generators_match
 
-from oracles import subset_leq
+from oracles import cover_order_leq, subset_leq
 
 
 @contextmanager
@@ -210,7 +210,7 @@ def test_10_order_equivalence():
             for a in maps:
                 for b in maps:
                     assert dyck.factor_order_leq(a, b) == \
-                        dyck.cover_order_leq(a, b)
+                        cover_order_leq(a, b)
 
 
 def test_11_admissible_pairs():

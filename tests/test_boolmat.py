@@ -306,9 +306,64 @@ def test_union_order_preserved(pair):
     assert all(x >= y for x, y in zip(pa[1], pu[1]))
 
 
-@pytest.mark.parametrize("n,expected", [(1, 1), (2, 4), (3, 25), (4, 196)])
+@pytest.mark.parametrize("n,expected", [(1, 1), (2, 4), (3, 25), (4, 196),
+                                        (5, 1764)])
 def test_convex_enumeration_is_catalan_squared(n, expected):
     assert sum(1 for _ in bm.enumerate_convex(n)) == expected
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_convex_enumeration_matches_the_reflexive_scan(n):
+    convex = list(bm.enumerate_convex(n))
+    assert len(set(convex)) == len(convex)
+    assert set(convex) == set(oracles.enumerate_convex_by_reflexive_scan(n))
+
+
+def _lanes_match_mul_and_union(n, left, right):
+    products, unions = bm.mul_union_lanes(
+        n, [a.bits for a in left], [b.bits for b in right])
+    assert list(products) == [bm.mul(a, b).bits
+                              for a, b in zip(left, right)]
+    assert list(unions) == [bm.union(a, b).bits for a, b in zip(left, right)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_lanes_match_mul_and_union_on_every_pair(n):
+    mats = [bm.from_bits(n, x) for x in range(1 << (n * n))]
+    pairs = list(itertools.product(mats, repeat=2))
+    _lanes_match_mul_and_union(n, [a for a, _ in pairs], [b for _, b in pairs])
+
+
+def test_lanes_match_mul_and_union_on_every_convex_pair():
+    pairs = list(itertools.product(bm.enumerate_convex(3), repeat=2))
+    _lanes_match_mul_and_union(3, [a for a, _ in pairs], [b for _, b in pairs])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_lanes_match_mul_and_union_on_seeded_matrices(n):
+    """Arbitrary, mostly non-convex, matrices, with the empty and the full
+    one; at n = 8 the full one fills its 64-bit lane."""
+    rng = random.Random(n)
+    mats = [bm.from_bits(n, rng.getrandbits(n * n)) for _ in range(600)]
+    mats += [bm.from_bits(n, 0), oracles.all_ones(n)] * 2
+    _lanes_match_mul_and_union(n, mats[::2], mats[1::2])
+    _lanes_match_mul_and_union(n, mats[1::2], mats[::2])
+
+
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025])
+def test_lanes_match_mul_and_union_on_every_block_size(n, count):
+    rng = random.Random(count)
+    left = [bm.from_bits(n, rng.getrandbits(n * n)) for _ in range(count)]
+    right = [bm.from_bits(n, rng.getrandbits(n * n)) for _ in range(count)]
+    _lanes_match_mul_and_union(n, left, right)
+
+
+def test_lanes_refuse_what_they_cannot_hold():
+    with pytest.raises(ValueError, match="block sizes differ"):
+        bm.mul_union_lanes(2, [0, 1], [0])
+    with pytest.raises(ValueError, match="64-bit lane"):
+        bm.mul_union_lanes(9, [0], [0])
 
 
 def test_formats():

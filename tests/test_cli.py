@@ -433,6 +433,8 @@ PINNED_DIGESTS = [
      "8d45b105e55ca272ff736a5f45a0f0d0547eff9097a82cf535af62e5e779d590"),
     (["verify-all", "--n-max", "6"],
      "3193772e2e3766990734c651200863da2b0117e997b82bf4b306bb9d9f0d5df8"),
+    (["verify-all", "--n-max", "5", "--seed", "3"],
+     "1040aff121aa2249fd3733dcdc273131bfdf2d8a78bc0c094e4e02e32ca8aa02"),
 ]
 
 

@@ -4,6 +4,8 @@ from hypothesis import given, strategies as st
 from catkit import dyck
 from catkit import permutations as pm
 
+import oracles
+
 
 def monotone_maps(n_max=6):
     def build(n, seeds):
@@ -80,7 +82,18 @@ def test_factor_order_equals_cover_order(n):
     maps = list(pm.all_nondecreasing_maps(n))
     for a in maps:
         for b in maps:
-            assert dyck.factor_order_leq(a, b) == dyck.cover_order_leq(a, b)
+            assert dyck.factor_order_leq(a, b) == oracles.cover_order_leq(a, b)
+
+
+def test_cover_order_oracle_follows_a_patched_completion_rule(monkeypatch):
+    """The oracle's reachability cache is keyed by the completion rule, so
+    a patched dyck.valley_completions is never answered from the sets an
+    earlier rule built."""
+    low, high = (1, 2, 3), (3, 3, 3)
+    assert oracles.cover_order_leq(low, high)
+    monkeypatch.setattr(dyck, "valley_completions", lambda path: frozenset())
+    assert not oracles.cover_order_leq(low, high)
+    assert oracles.cover_order_leq(low, low)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -173,7 +186,7 @@ def test_order_sets_match_the_pairwise_orders(n):
     factor = {(p, q) for p, a in zip(paths, maps) for q, b in zip(paths, maps)
               if dyck.factor_order_leq(a, b)}
     cover = {(p, q) for p, a in zip(paths, maps) for q, b in zip(paths, maps)
-             if dyck.cover_order_leq(a, b)}
+             if oracles.cover_order_leq(a, b)}
     assert _pairs(dyck.factor_order_sets(n), n) == factor
     assert _pairs(dyck.cover_order_sets(n), n) == cover
 

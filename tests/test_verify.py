@@ -79,18 +79,27 @@ def test_convex_monoid_iso_fails_on_one_wrong_generator_product(
         "generator": bm.to_row_strings(gen), "reason": "not a homomorphism"}
 
 
-@pytest.mark.parametrize("kernel", ["mul", "union"])
-def test_convex_monoid_iso_records_a_wrong_sample(monkeypatch, kernel):
+def _first_sample_patched(monkeypatch, side, bits):
+    """Patch bm.mul_union_lanes so that the first sample at n = 5 gets
+    bits as its product (side 0) or its union (side 1)."""
+    lanes = verify.bm.mul_union_lanes
+    done = []
+
+    def patched(n, left, right):
+        out = list(lanes(n, left, right))
+        if n == 5 and not done:
+            done.append(True)
+            out[side] = (bits,) + out[side][1:]
+        return tuple(out)
+
+    monkeypatch.setattr(verify.bm, "mul_union_lanes", patched)
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["mul", "union"])
+def test_convex_monoid_iso_records_a_wrong_sample(monkeypatch, side):
     """A non-convex product or union on the first sample at n = 5 is a
     failing record naming both draws, not an exception."""
-    right = getattr(verify.bm, kernel)
-
-    def wrong(a, b):
-        if a.n == 5:
-            return bm.BoolMat(5, (0,) * 5)  # empty, so not convex
-        return right(a, b)
-
-    monkeypatch.setattr(verify.bm, kernel, wrong)
+    _first_sample_patched(monkeypatch, side, 0)  # empty, so not convex
     result = verify.check_convex_monoid_iso(5, random.Random(0))
     assert result.passed is False
     assert result.counterexample == {
@@ -121,6 +130,49 @@ def test_convex_monoid_iso_records_a_bad_draw(monkeypatch):
     assert result.passed is False
     assert result.counterexample == {
         "n": 5, "reason": "sampler: not a non-decreasing map: (2, 1, 5, 5, 5)"}
+
+
+_IDENTITY = ((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
+_REFUSED = ((2, 1, 5, 5, 5), (1,) * 5)  # alpha is not monotone
+_EMPTY = ((5, 5, 5, 5, 5), (1,) * 5)  # filled to the empty matrix below
+_IDENTITY_ROWS = ["10000", "01000", "00100", "00010", "00001"]
+_REFUSAL = {"n": 5, "reason": "sampler: not a non-decreasing map: "
+                              "(2, 1, 5, 5, 5)"}
+
+
+@pytest.mark.parametrize("draws,wrong_product,expected", [
+    ({6: _REFUSED}, False, _REFUSAL),
+    ({6: _REFUSED, 2: _EMPTY}, False, {
+        "n": 5, "a": ["00000"] * 5, "b": _IDENTITY_ROWS,
+        "reason": "a draw is not convex or fails its round trip"}),
+    ({6: _REFUSED, 10: _EMPTY}, False, _REFUSAL),
+    ({6: _REFUSED}, True, {"n": 5, "a": _IDENTITY_ROWS,
+                           "b": _IDENTITY_ROWS}),
+    ({3: _REFUSED, 2: _EMPTY}, False, _REFUSAL),
+    ({2047: _EMPTY, 2048: _REFUSED}, False, {
+        "n": 5, "a": _IDENTITY_ROWS, "b": ["00000"] * 5,
+        "reason": "a draw is not convex or fails its round trip"})],
+    ids=["refused", "empty-before", "empty-after", "product-before",
+         "same-sample", "across-blocks"])
+def test_convex_monoid_iso_reports_the_sequential_first_failure(
+        monkeypatch, draws, wrong_product, expected):
+    """Within a block the first failure is the one a sample-by-sample loop
+    meets: samples before a refused draw are checked first, and within a
+    sample a refused draw comes before a non-convex one, which comes
+    before a wrong product.  draws maps a draw's index (sample s draws
+    2s and 2s + 1) to its (alpha, beta); the rest are the identity."""
+    index = iter(range(1 << 20))
+    monkeypatch.setattr(verify, "_random_convex",
+                        lambda n, rng: draws.get(next(index), _IDENTITY))
+    fill = verify.bm.from_map_pair
+    monkeypatch.setattr(verify.bm, "from_map_pair", lambda alpha, beta: (
+        bm.BoolMat(5, (0,) * 5) if (alpha, beta) == _EMPTY
+        else fill(alpha, beta)))
+    if wrong_product:
+        _first_sample_patched(monkeypatch, 0, 0)
+    result = verify.check_convex_monoid_iso(5, random.Random(0))
+    assert result.passed is False
+    assert result.counterexample == expected
 
 
 def test_convex_monoid_iso_keeps_its_draw_stream():
@@ -156,14 +208,7 @@ def test_random_convex_keeps_the_randint_stream(seed, n):
 def test_convex_monoid_iso_records_a_union_below_a_draw(monkeypatch, below):
     """A union that is convex but not above a fails the union order on the
     first sample at n = 5, through either map, and names both draws."""
-    union = verify.bm.union
-
-    def wrong(a, b):
-        if a.n == 5:
-            return bm.from_map_pair(*below)
-        return union(a, b)
-
-    monkeypatch.setattr(verify.bm, "union", wrong)
+    _first_sample_patched(monkeypatch, 1, bm.from_map_pair(*below).bits)
     result = verify.check_convex_monoid_iso(5, random.Random(0))
     assert result.passed is False
     assert result.counterexample == {
