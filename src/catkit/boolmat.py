@@ -24,7 +24,6 @@ the n steps of the product run on all lanes together.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -33,10 +32,6 @@ from .permutations import (MonotoneMap, Perm, is_nondecreasing_map,
                            is_nonincreasing_map)
 
 
-# __slots__ is written out, not made by dataclass(slots=True): that copy of
-# the class breaks the frozen __setattr__, which then raises TypeError
-# instead of FrozenInstanceError on a name that is not a field.
-@dataclass(frozen=True, init=False)
 class BoolMat:
     """A boolean matrix of degree n, built from its rows: bit j-1 of
     rows[i-1] is the entry (i, j).  It holds the rows as one integer,
@@ -48,6 +43,10 @@ class BoolMat:
     >>> a.bits == 1 << (2 - 1) * 3 + (3 - 1), a.rows, a.entry(2, 3)
     (True, (0, 4, 0), 1)
     """
+    # Written out, not made by dataclass: importing dataclasses pulls in
+    # inspect and ast at start-up.  __eq__, __hash__, __repr__ and the
+    # frozen __setattr__ and __delattr__ are the ones a frozen dataclass
+    # makes; FrozenInstanceError is imported only when it is raised.
     __slots__ = ("n", "bits")
     n: int
     bits: int
@@ -61,6 +60,25 @@ class BoolMat:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits",
                            sum(r << (i * n) for i, r in enumerate(rows)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.bits) == (other.n, other.bits)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.bits))
+
+    def __repr__(self) -> str:
+        return f"BoolMat(n={self.n!r}, bits={self.bits!r})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         # the default would restore the slots by the frozen __setattr__

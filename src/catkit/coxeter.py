@@ -23,8 +23,8 @@ quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import lcm
+from typing import NamedTuple
 
 from . import boolmat as bm
 from .monoid import DEFAULT_CAP, MonoidTable, gather, generate_monoid
@@ -53,22 +53,37 @@ class CoxeterError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class CoxeterSystem:
-    name: str
-    gen_perms: tuple[CarrierPerm, ...]
-    matrix: tuple[tuple[int, ...], ...]
-    elements: tuple[CarrierPerm, ...]
-    index: dict = field(hash=False, compare=False, repr=False)
-    length: tuple[int, ...]
-    words: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...]
-    left: tuple[tuple[int, ...], ...]
-    # per element, bit s set iff s is a right descent / a letter of its words
-    descent_mask: tuple[int, ...] = field(hash=False, compare=False,
-                                          repr=False)
-    support_mask: tuple[int, ...] = field(hash=False, compare=False,
-                                          repr=False)
+    __slots__ = ("name", "gen_perms", "matrix", "elements", "index",
+                 "length", "words", "right", "left", "descent_mask",
+                 "support_mask")
+
+    def __init__(self, name: str, gen_perms: tuple[CarrierPerm, ...],
+                 matrix: tuple[tuple[int, ...], ...],
+                 elements: tuple[CarrierPerm, ...], index: dict,
+                 length: tuple[int, ...], words: tuple[tuple[int, ...], ...],
+                 right: tuple[tuple[int, ...], ...],
+                 left: tuple[tuple[int, ...], ...],
+                 descent_mask: tuple[int, ...],
+                 support_mask: tuple[int, ...]) -> None:
+        self.name = name
+        self.gen_perms = gen_perms
+        self.matrix = matrix
+        self.elements = elements
+        self.index = index
+        self.length = length
+        self.words = words
+        self.right = right
+        self.left = left
+        # per element, bit s set iff s is a right descent / a word letter
+        self.descent_mask = descent_mask
+        self.support_mask = support_mask
+
+    def __repr__(self) -> str:
+        return ("CoxeterSystem(name=%r, gen_perms=%r, matrix=%r, elements=%r, "
+                "length=%r, words=%r, right=%r, left=%r)"
+                % (self.name, self.gen_perms, self.matrix, self.elements,
+                   self.length, self.words, self.right, self.left))
 
     @property
     def rank(self) -> int:
@@ -251,8 +266,7 @@ def bruhat_leq(sys: CoxeterSystem, u: int, w: int) -> bool:
 # ---------------------------------------------------------------------------
 # Parabolic subgroups and cosets.
 
-@dataclass(frozen=True)
-class Parabolic:
+class Parabolic(NamedTuple):
     J: frozenset[int]
     members: tuple[int, ...]    # element indices of the subgroup
     longest: int                # index of the subgroup's longest element

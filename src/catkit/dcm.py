@@ -33,9 +33,8 @@ matrix closure generator for generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Collection, Iterator
+from typing import Collection, Iterator, NamedTuple
 
 from . import boolmat as bm
 from . import permutations as pm
@@ -175,8 +174,7 @@ _P4321 = (4, 3, 2, 1)
 _P4231 = (4, 2, 3, 1)
 
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(NamedTuple):
     tau: Perm                      # the unique 4321-avoiding member, Bruhat least
     maximal: frozenset[Perm]       # Bruhat-maximal members, all 4231-avoiding
     convex: bool
@@ -233,8 +231,7 @@ def first_multimaximal_fiber(n: int) -> tuple[BoolMat, frozenset[Perm]] | None:
     return None
 
 
-@dataclass(frozen=True)
-class CatalanFiberReport:
+class CatalanFiberReport(NamedTuple):
     pi: Perm        # unique 321-avoiding member, Bruhat least
     pi_prime: Perm  # unique 312-avoiding member, Bruhat greatest
     interval: bool  # fiber equals the Bruhat interval [pi, pi_prime]
@@ -349,8 +346,7 @@ def presentation_relations(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...
     return rels
 
 
-@dataclass(frozen=True)
-class PresentationReport:
+class PresentationReport(NamedTuple):
     presented_size: int
     matches: bool
 

@@ -37,7 +37,6 @@ closure, so both routes yield comparable tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Hashable, Iterator, Sequence
 
@@ -63,15 +62,22 @@ class MonoidCapExceeded(RuntimeError):
     enumeration the elements are the live nodes."""
 
 
-@dataclass
 class MonoidTable:
-    elements: list
-    index: dict
-    gens: tuple[int, ...]
-    right: list[list[int]]
-    words: list[tuple[int, ...]]
-    parent: list[int]  # element j > 0 is parent[j] times letter words[j][-1]
-    _left: list[list[int]] | None = field(default=None, repr=False)
+    __slots__ = ("elements", "index", "gens", "right", "words", "parent",
+                 "_left")
+
+    def __init__(self, elements: list, index: dict, gens: tuple[int, ...],
+                 right: list[list[int]], words: list[tuple[int, ...]],
+                 parent: list[int],
+                 _left: list[list[int]] | None = None) -> None:
+        self.elements = elements
+        self.index = index
+        self.gens = gens
+        self.right = right
+        self.words = words
+        # element j > 0 is parent[j] times letter words[j][-1]
+        self.parent = parent
+        self._left = _left
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -180,12 +186,14 @@ class MonoidTable:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
 class ProductRows:
     """The product table of a MonoidTable, made a row at a time on each
     pass: iterating gives the rows of indices, and
     table.product_rows(labels) the rows of their labels."""
-    table: MonoidTable
+    __slots__ = ("table",)
+
+    def __init__(self, table: MonoidTable) -> None:
+        self.table = table
 
     def __len__(self) -> int:
         return len(self.table)

@@ -26,10 +26,8 @@ generator maps are closed and matched against its own table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
-from typing import Sequence
+from math import gcd
+from typing import NamedTuple, Sequence
 
 from . import coxeter as cx
 from . import dcm
@@ -40,8 +38,7 @@ from .monoid import DEFAULT_CAP, gather, generate_monoid, generators_match
 ColumnMap = tuple  # tuple[int | None, ...]
 
 
-@dataclass(frozen=True)
-class HeckeModule:
+class HeckeModule(NamedTuple):
     sys: CoxeterSystem
     labels: tuple            # one label per basis vector
     action: tuple[ColumnMap, ...]   # one column map per generator
@@ -108,8 +105,7 @@ def direct_sum(modules: Sequence[HeckeModule]) -> HeckeModule:
 # ---------------------------------------------------------------------------
 # Eigenspace split of one generator.
 
-@dataclass(frozen=True)
-class EigenSplit:
+class EigenSplit(NamedTuple):
     fixed: tuple[int, ...]                 # basis indices spanning the 1-eigenspace
     kernel_pairs: tuple[tuple[int, int], ...]  # (j, tj): vectors e_j - e_tj span ker
 
@@ -231,18 +227,21 @@ def nullspace(rows: list[list], ncols: int, p: int | None = None) -> list[list]:
             s = sum(x * v[k] for k, x in row.items() if k in v)
             if p is not None:
                 s %= p
-            if s:
-                # mod p the pivot rows lead with 1
-                v[pc] = Fraction(-s, row[pc]) if p is None else p - s
+                if s:
+                    v[pc] = p - s  # mod p the pivot rows lead with 1
+            elif s:
+                # v is an integer multiple of the rational solution; scale
+                # it by a/g so that the new entry -s/a is the integer -s/g
+                a = row[pc]
+                g = gcd(s, a)
+                if a != g:
+                    v = {k: x * (a // g) for k, x in v.items()}
+                v[pc] = -s // g
         if p is None:
-            scale = 1
-            for x in v.values():
-                scale = lcm(scale, Fraction(x).denominator)
-            ints = {k: int(x * scale) for k, x in v.items()}
-            g = gcd(*ints.values())
-            if ints[min(ints)] < 0:
+            g = gcd(*v.values())
+            if v[min(v)] < 0:
                 g = -g
-            v = {k: x // g for k, x in ints.items()}
+            v = {k: x // g for k, x in v.items()}
         basis.append([v.get(k, 0) for k in range(ncols)])
     return basis
 

@@ -12,10 +12,9 @@ failing run can be reproduced from its JSON serialization alone.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from math import comb, factorial
 from operator import ge, le
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 from . import boolmat as bm
 from . import coxeter as cx
@@ -27,11 +26,10 @@ from . import repmin as rm
 from .monoid import MonoidTable, gather, generate_monoid, generators_match
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict
     counterexample: dict | None = None
 
 
@@ -466,7 +464,7 @@ def check_presentation(n_max: int, rng: random.Random) -> CheckResult:
         report = dcm.verify_presentation(n)
         sizes[str(n)] = report.presented_size
         if not report.matches:
-            return _fail(name, {"n": n, "report": vars(report)})
+            return _fail(name, {"n": n, "report": report._asdict()})
     return CheckResult(name, True, {"sizes": sizes})
 
 

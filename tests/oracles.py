@@ -1,8 +1,11 @@
 """Slow, independent references that tests compare the library against."""
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import gcd, lcm
+from operator import le
 from typing import Iterator
 
 from catkit import boolmat as bm
@@ -51,17 +54,17 @@ def all_nonincreasing_maps(n: int) -> Iterator[pm.MonotoneMap]:
     return rec([])
 
 
+def sorted_prefixes(w: pm.Perm) -> tuple[int, ...]:
+    """The increasing rearrangements of w(1..i) for i = 1..n-1, end to end."""
+    return tuple(v for i in range(1, len(w)) for v in sorted(w[:i]))
+
+
 def bruhat_leq_by_sorted_prefixes(u: pm.Perm, w: pm.Perm) -> bool:
     """Bruhat order by prefix dominance: u <= w iff for every i the
     increasing rearrangement of u(1..i) is entrywise <= that of w(1..i)."""
     if len(u) != len(w):
         raise ValueError(f"degree mismatch: {len(u)} != {len(w)}")
-    for i in range(1, len(u)):
-        pu = sorted(u[:i])
-        pw = sorted(w[:i])
-        if any(a > b for a, b in zip(pu, pw)):
-            return False
-    return True
+    return all(map(le, sorted_prefixes(u), sorted_prefixes(w)))
 
 
 def reduced_word_by_restart(w: pm.Perm) -> tuple[int, ...]:
@@ -305,6 +308,39 @@ def bruhat_leq_by_descent_sets(sys: cx.CoxeterSystem, u: int, w: int) -> bool:
     if sys.length[su] < sys.length[u]:
         return bruhat_leq_by_descent_sets(sys, su, sw)
     return bruhat_leq_by_descent_sets(sys, u, sw)
+
+
+# ---------------------------------------------------------------------------
+# Nullspaces back-substituted in Fractions.
+
+def nullspace_by_fractions(rows: list[list], ncols: int,
+                           p: int | None = None) -> list[list]:
+    """rm.nullspace from the same echelon form, back-substituted in
+    Fractions: each pivot entry is -s / a exactly, then the vector is
+    scaled by the lcm of its denominators and divided by the gcd of its
+    entries, its leading entry made positive.  Mod p the pivot rows lead
+    with 1, so the entry is p - s."""
+    ech, pivots = rm._echelon(rows, p)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v: dict = {fc: 1}
+        for row, pc in zip(reversed(ech), reversed(pivots)):
+            s = sum(x * v[k] for k, x in row.items() if k in v)
+            if p is not None:
+                s %= p
+            if s:
+                v[pc] = Fraction(-s, row[pc]) if p is None else p - s
+        if p is None:
+            scale = 1
+            for x in v.values():
+                scale = lcm(scale, Fraction(x).denominator)
+            ints = {k: int(x * scale) for k, x in v.items()}
+            g = gcd(*ints.values())
+            if ints[min(ints)] < 0:
+                g = -g
+            v = {k: x // g for k, x in ints.items()}
+        basis.append([v.get(k, 0) for k in range(ncols)])
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,8 @@ def test_matrices_are_immutable_and_hash_by_value():
                         ("colour", "red")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(a, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(a, name)
     assert a.bits == 0b1101 and a.rows == (0b01, 0b11)
     same = [bm.from_bits(2, 0b1101), bm.from_row_strings(["10", "11"]),
             bm.mul(a, bm.identity_mat(2))]

@@ -187,6 +187,20 @@ def test_bad_input_prints_no_traceback(tmp_path):
     assert proc.stderr == f"not rows of integers: {gens}\n"
 
 
+def test_start_up_loads_no_dataclasses_or_fractions():
+    """import catkit.cli plus build_parser, as every command starts, adds
+    none of these modules to what a bare interpreter has loaded."""
+    code = ("import sys; bare = set(sys.modules); import catkit.cli; "
+            "catkit.cli.build_parser(); "
+            "print(*sorted(set(sys.modules) - bare))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_cli_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "catkit.cli" in added
+    assert not added & {"dataclasses", "inspect", "fractions", "decimal"}
+
+
 @pytest.mark.parametrize("cap,argv", [
     ("5", ["dcm", "--n", "6", "count"]),
     ("20", ["coxeter", "--type", "A3"]),  # 24 elements
@@ -533,7 +547,7 @@ def test_verify_all_failure_reports_counterexample(capsys, monkeypatch):
     from catkit import verify
 
     def broken(n_max, rng):
-        return verify.CheckResult("broken", False,
+        return verify.CheckResult("broken", False, {},
                                   counterexample={"n": 1})
 
     monkeypatch.setattr(verify, "ALL_CHECKS", [broken])
@@ -542,3 +556,21 @@ def test_verify_all_failure_reports_counterexample(capsys, monkeypatch):
     assert code == 1
     assert json.loads(captured.err.strip()) == {
         "check": "broken", "counterexample": {"n": 1}}
+
+
+def test_verify_all_reports_a_presentation_that_does_not_match(capsys,
+                                                                monkeypatch):
+    """A failing presentation record reaches stderr as a JSON object of
+    its fields."""
+    from catkit import dcm
+
+    monkeypatch.setattr(dcm, "verify_presentation",
+                        lambda n: dcm.PresentationReport(presented_size=5,
+                                                         matches=False))
+    code = main(["verify-all", "--n-max", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err.strip()) == {
+        "check": "presentation",
+        "counterexample": {"n": 2, "report": {"presented_size": 5,
+                                              "matches": False}}}

@@ -1,5 +1,6 @@
 import random
 from itertools import permutations
+from operator import le
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,7 @@ from catkit import permutations as pm
 
 from oracles import (all_nonincreasing_maps, bruhat_ideal_by_subwords,
                      bruhat_leq_by_sorted_prefixes, contains_pattern_by_scan,
-                     reduced_word_by_restart, word_to_perm)
+                     reduced_word_by_restart, sorted_prefixes, word_to_perm)
 
 
 def perms(n_max=6):
@@ -97,10 +98,14 @@ def test_bruhat_leq_matches_subword_oracle(n):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
 def test_bruhat_leq_matches_sorted_prefixes_on_all_pairs(n):
+    """Every pair, by the dominance rule of bruhat_leq_by_sorted_prefixes
+    on each permutation's sorted prefixes, made once."""
     perms = list(pm.all_perms(n))
-    for w in perms:
-        for u in perms:
-            assert pm.bruhat_leq(u, w) == bruhat_leq_by_sorted_prefixes(u, w)
+    prefixes = [sorted_prefixes(w) for w in perms]
+    for w, pw in zip(perms, prefixes):
+        got = [pm.bruhat_leq(u, w) for u in perms]
+        expected = [all(map(le, pu, pw)) for pu in prefixes]
+        assert got == expected, w
 
 
 @pytest.mark.parametrize("n", [7, 8])

@@ -165,6 +165,43 @@ def test_elimination_matches_reference_rref(matrix, p):
     assert rank + len(basis) == ncols
 
 
+def _seeded_integer_matrices() -> list[tuple[int, list[list[int]]]]:
+    """(ncols, rows) up to 8 x 10: each matrix's rows are integer
+    combinations of a few random rows, so the rank runs from 0 (the zero
+    matrix) to full."""
+    rng = random.Random(24)
+    entry = (0, 0, 0, 1, -1, 2, -3, 5)
+    mats = [(10, [[0] * 10 for _ in range(8)]), (1, [[0]]), (1, [[3]]),
+            (10, [[int(i == j) for j in range(10)] for i in range(8)])]
+    for _ in range(120):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 10)
+        spans = [[rng.choice(entry) for _ in range(ncols)]
+                 for _ in range(rng.randint(1, min(nrows, ncols)))]
+        rows = [[sum(rng.randint(-2, 2) * r[c] for r in spans)
+                 for c in range(ncols)] for _ in range(nrows)]
+        mats.append((ncols, rows))
+    return mats
+
+
+SEEDED_MATRICES = _seeded_integer_matrices()
+
+
+def test_seeded_matrices_cover_zero_full_and_deficient_rank():
+    kinds = set()
+    for ncols, rows in SEEDED_MATRICES:
+        rank = _reference_nullspace(rows, ncols, None)[0]
+        kinds.add("zero" if rank == 0 else
+                  "full" if rank == min(len(rows), ncols) else "deficient")
+    assert kinds == {"zero", "full", "deficient"}
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5])
+def test_nullspace_matches_back_substitution_by_fractions(p):
+    for ncols, rows in SEEDED_MATRICES:
+        assert rm.nullspace(rows, ncols, p) == oracles.nullspace_by_fractions(
+            rows, ncols, p), (rows, p)
+
+
 @pytest.mark.parametrize("p", [0, 1, -3])
 def test_modulus_below_two_is_rejected(p):
     with pytest.raises(ValueError):
