@@ -28,6 +28,7 @@ from functools import lru_cache
 from itertools import product as _iproduct
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
+from .monoid import MonoidTable, generate_monoid
 from .permutations import (MonotoneMap, Perm, is_nondecreasing_map,
                            is_nonincreasing_map)
 
@@ -136,12 +137,16 @@ def mul(a: BoolMat, b: BoolMat) -> BoolMat:
     n = a.n
     if n != b.n:
         raise ValueError(f"degree mismatch: {n} != {b.n}")
-    x, y = a.bits, b.bits
+    return from_bits(n, _mul_bits(n, a.bits, b.bits))
+
+
+def _mul_bits(n: int, x: int, y: int) -> int:
+    """The bits of the product of the degree-n matrices with bits x, y."""
     first, mask = _spaced(n, n), (1 << n) - 1
     out = 0
     for k in range(n):
         out |= (x >> k & first) * (y >> (k * n) & mask)
-    return from_bits(n, out)
+    return out
 
 
 def mul_union_lanes(n: int, left: Sequence[int],
@@ -200,6 +205,19 @@ def _column_or(n: int,
         upper, lower = masks[key]
         return x | (x & upper) >> 1 | (x & lower) << 1
     return step
+
+
+def _closure(n: int, gens: Sequence[int], step: Callable[[int, int], int],
+             cap: int | None = None) -> MonoidTable:
+    """The closure table of the degree-n matrices with bits gens, run on
+    the bits, step(x, g) being the bits of the product of x and g, so that
+    no product hashes a BoolMat; each element then wraps its bits, in
+    place, under the same index numbers."""
+    table = generate_monoid(gens, step, identity_mat(n).bits, cap)
+    table.elements = [from_bits(n, x) for x in table.elements]
+    # the index numbers are the ones right and parent share
+    table.index = dict(zip(table.elements, table.index.values()))
+    return table
 
 
 def union(a: BoolMat, b: BoolMat) -> BoolMat:

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from collections.abc import Iterator
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
@@ -110,6 +111,26 @@ def _leaf(value, newline: str, texts: _IntTexts) -> str | None:
     return None
 
 
+def _entries(value, newline: str, texts: _IntTexts) -> Iterator[str] | None:
+    """The JSON texts of the entries of a nonempty list or tuple, each in
+    one piece and to follow newline, when it holds only strs or only rows
+    of ints, a row being a list or a tuple; else None.  One type scan over
+    the entries, and one over the rows' entries, stand for a type test per
+    entry, so a bool or any other type in a row, or an iterator, leaves
+    the value to the generic path."""
+    kinds = set(map(type, value))
+    if kinds == {str}:
+        return map(_quote, value)
+    if not kinds <= {list, tuple} or not set(
+            map(type, chain.from_iterable(value))) <= {int}:
+        return None
+    inner = newline + "  "
+    head, sep, tail = "[" + inner, "," + inner, newline + "]"
+    get = texts.__getitem__
+    return (f"{head}{sep.join(map(get, row))}{tail}" if row else "[]"
+            for row in value)
+
+
 def _write_json(value, write, newline: str = "\n",
                 texts: _IntTexts | None = None) -> None:
     """Write value as json.dump(value, sort_keys=True, indent=2) would,
@@ -118,13 +139,18 @@ def _write_json(value, write, newline: str = "\n",
     Tuples and iterators are written as lists.  Dict keys must be strs;
     floats and any other type raise TypeError.  The text of each int in a
     list of ints is made once per top-level call, which passes its memo
-    down to the nested ones.  A monoid.ProductRows view, a table's product
-    rows, is written from rows of those texts, each gathered from its
-    parent's row and joined in one piece.
+    down to the nested ones.  Two kinds of list or tuple skip the test of
+    each entry (see _entries): one of strs only, each entry quoted, and
+    one of rows of ints only, such as a table's words or Cayley rows, each
+    row one join of its ints' texts.  Either is written one entry at a
+    time, so no text of the whole block is held.  A monoid.ProductRows
+    view, a table's product rows, is written from rows of those texts,
+    each gathered from its parent's row and joined in one piece.
 
     >>> import io
     >>> out = io.StringIO()
-    >>> _write_json({"b": [1, 2], "a": iter([{}, "\u00e9"])}, out.write)
+    >>> _write_json({"b": [(1, 2), []], "a": iter([{}, "\u00e9"])},
+    ...             out.write)
     >>> print(out.getvalue())
     {
       "a": [
@@ -132,8 +158,11 @@ def _write_json(value, write, newline: str = "\n",
         "\\u00e9"
       ],
       "b": [
-        1,
-        2
+        [
+          1,
+          2
+        ],
+        []
       ]
     }
     """
@@ -144,6 +173,15 @@ def _write_json(value, write, newline: str = "\n",
         write(text)
         return
     inner = newline + "  "
+    entries = (_entries(value, inner, texts)
+               if isinstance(value, (list, tuple)) else None)
+    if entries is not None:
+        sep = "[" + inner
+        for text in entries:
+            write(sep + text)
+            sep = "," + inner
+        write(newline + "]")
+        return
     if isinstance(value, ProductRows):
         # every table holds its identity, so there is at least one row
         labels = [texts[k] for k in range(len(value))]

@@ -23,6 +23,7 @@ quotient.
 
 from __future__ import annotations
 
+from functools import partial
 from math import lcm
 from typing import NamedTuple
 
@@ -369,10 +370,11 @@ def catalan_quotient(sys: CoxeterSystem,
 def double_catalan_quotient(sys: CoxeterSystem,
                             J: frozenset[int] | set[int]) -> MonoidTable:
     """Boolean-matrix monoid generated by identity + coset permutation, one
-    generator per Coxeter generator, acting on the cosets of the J-parabolic."""
+    generator per Coxeter generator, acting on the cosets of the J-parabolic.
+    The closure runs on the bits of the matrices (see boolmat)."""
     action = coset_action(sys, J)
     m = len(action[0]) if action else 1
-    gens = [bm.union(bm.identity_mat(m),
-                     bm.from_perm([image + 1 for image in sigma]))
+    gens = [bm.identity_mat(m).bits
+            | bm.from_perm([image + 1 for image in sigma]).bits
             for sigma in action]
-    return generate_monoid(gens, bm.mul, bm.identity_mat(m))
+    return bm._closure(m, gens, partial(bm._mul_bits, m))

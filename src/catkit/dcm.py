@@ -87,12 +87,7 @@ def dc_monoid(n: int, cap: int = DEFAULT_CAP) -> MonoidTable:
     product hashes a BoolMat; each element then wraps its bits.
     """
     gens = [g.bits for g in generators(n)]
-    table = generate_monoid(gens, bm._column_or(n, gens),
-                            bm.identity_mat(n).bits, cap)
-    table.elements = [bm.from_bits(n, x) for x in table.elements]
-    # the index numbers are the ones right and parent share
-    table.index = dict(zip(table.elements, table.index.values()))
-    return table
+    return bm._closure(n, gens, bm._column_or(n, gens), cap)
 
 
 def _capped(n: int, cap: int) -> MonoidTable:

@@ -159,16 +159,18 @@ class MonoidTable:
         return [i for i in range(len(self)) if self.product(i, i) == i]
 
     def to_json_dict(self, element_repr: Callable = str) -> dict:
-        """The table as JSON data.  "product_table" is None above
-        MAX_PRODUCT_TABLE elements, else the view ProductRows(self), so a
-        writer can stream the rows without holding them all, and gather
-        each row's texts instead of writing its ints one by one."""
+        """The table as JSON data.  "words" and "right_cayley" are the
+        table's own arrays, not copies, so they are to be read only.
+        "product_table" is None above MAX_PRODUCT_TABLE elements, else the
+        view ProductRows(self), so a writer can stream the rows without
+        holding them all, and gather each row's texts instead of writing
+        its ints one by one."""
         return {
             "size": len(self),
             "generators": list(self.gens),
-            "elements": [element_repr(x) for x in self.elements],
-            "words": [list(word) for word in self.words],
-            "right_cayley": [list(row) for row in self.right],
+            "elements": list(map(element_repr, self.elements)),
+            "words": self.words,
+            "right_cayley": self.right,
             "product_table": (ProductRows(self)
                               if len(self) <= MAX_PRODUCT_TABLE else None),
         }
@@ -224,9 +226,8 @@ def generate_monoid(generators: Sequence[Hashable], mul: Callable,
                     identity: Hashable, cap: int | None = None) -> MonoidTable:
     """Close a generating set under an associative product.
 
-    The identity is adjoined as element 0.  Frontier expansion is
-    sequential here; any parallel implementation must preserve the
-    deterministic (word length, word) numbering this one produces.
+    The identity is adjoined as element 0, and the elements are numbered
+    by (word length, word), as the module docstring describes.
     """
     elements = [identity]
     index = {identity: 0}
@@ -272,7 +273,8 @@ def enumerate_presentation(letters: int,
     at each node, so the nodes are exactly the elements of the presented
     monoid.  More than cap live nodes at any one time, which may be more
     than the monoid has elements, raise MonoidCapExceeded; this also stops
-    the enumeration of an infinite monoid.  The finished table is renumbered by generate_monoid.
+    the enumeration of an infinite monoid.  The finished table is
+    renumbered by generate_monoid.
     """
     table: list[list[int | None] | None] = [[None] * letters]
     parent = [0]

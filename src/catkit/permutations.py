@@ -375,9 +375,7 @@ def min_perm_with_maxima(alpha: Sequence[int]) -> Perm:
 # Serialization: digit strings for n <= 9, comma-separated for n >= 10.
 
 def format_perm(w: Sequence[int]) -> str:
-    if len(w) <= 9:
-        return "".join(str(v) for v in w)
-    return ",".join(str(v) for v in w)
+    return ("" if len(w) <= 9 else ",").join(map(str, w))
 
 
 _PERM_TEXT = re.compile(r"[0-9]*|[0-9]+(?:,[0-9]+)+")

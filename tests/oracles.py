@@ -15,7 +15,7 @@ from catkit import dyck
 from catkit import hecke
 from catkit import permutations as pm
 from catkit import repmin as rm
-from catkit.monoid import generate_monoid
+from catkit.monoid import MonoidTable, generate_monoid
 from catkit.verify import CheckResult, _fail
 
 
@@ -265,8 +265,8 @@ def random_convex_by_randint(n: int, rng: random.Random) -> tuple[tuple, tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Coxeter tables by composing tuples, parabolics by scanning words, and
-# Bruhat order by descent sets.
+# Coxeter tables by composing tuples, parabolics by scanning words, double
+# Catalan quotients by matrix products, and Bruhat order by descent sets.
 
 def coxeter_tables_by_compose(gens) -> dict:
     """The closure of gens under cx._compose, one generator expression per
@@ -291,6 +291,17 @@ def parabolic_by_word_scan(sys: cx.CoxeterSystem, J) -> cx.Parabolic:
                      if all(length[right[i][s]] < length[i] for s in J))
     return cx.Parabolic(J=J, members=members, longest=members[-1],
                         max_reps=max_reps)
+
+
+def double_catalan_quotient_by_mul(sys: cx.CoxeterSystem, J) -> MonoidTable:
+    """The double Catalan quotient closed on BoolMats under bm.mul, each
+    generator the identity OR a coset permutation matrix."""
+    action = cx.coset_action(sys, J)
+    m = len(action[0]) if action else 1
+    gens = [bm.union(bm.identity_mat(m),
+                     bm.from_perm([image + 1 for image in sigma]))
+            for sigma in action]
+    return generate_monoid(gens, bm.mul, bm.identity_mat(m))
 
 
 def bruhat_leq_by_descent_sets(sys: cx.CoxeterSystem, u: int, w: int) -> bool:

@@ -449,6 +449,11 @@ PINNED_DIGESTS = [
      "3193772e2e3766990734c651200863da2b0117e997b82bf4b306bb9d9f0d5df8"),
     (["verify-all", "--n-max", "5", "--seed", "3"],
      "1040aff121aa2249fd3733dcdc273131bfdf2d8a78bc0c094e4e02e32ca8aa02"),
+    (["export", "--what", "hecke", "--n", "6"],
+     "9620b7d9e3680b65a2cc32bbbec11bf9ce3e7d00b6ee8c6a6cf56f62c2e48f42"),
+    (["coxeter", "--type", "A5", "--quotient", "double",
+      "--J", "s1,s2,s3,s4"],
+     "0976a910a4ed12299115fdd1739d2b89fae5f24dce66f9f42dd0668bf7da3d94"),
 ]
 
 
@@ -509,6 +514,11 @@ JSON_VALUES = st.recursive(
 @example(Lazy([Lazy([1, 2]), ("x", "\n\t\x7f\u2028"), {"k": Lazy()}]))
 @example([[7, 300, 7], Lazy([300, 7]), {"a": (7, 7, -300)}, [300]])
 @example([[1, 1, 0], [True, False], [0, 1], Lazy([False, 1, True, 0])])
+@example([[3, -1, 2 ** 70], [], (0, -2 ** 70), (), [7]])
+@example({"a": [(1, 2), [True, 0], [3]], "b": [[0], Lazy([1]), []]})
+@example({"right_cayley": [[]], "words": [()], "z": [(), [], ()]})
+@example(["\"\\/\b\f\n\r\t\x00\x1f\x7f", "", "\u00e9\u2028\U0001f600"])
+@example({"k": [["x"], "a", 1, "b", -2, ("y", 3)]})
 def test_writer_matches_json(value):
     expected = json.dumps(_plain(value), sort_keys=True, indent=2)
     assert _written(_for_writer(value)) == expected

@@ -2,6 +2,7 @@ import pytest
 
 from catkit import coxeter as cx
 from catkit import dcm
+from catkit.boolmat import BoolMat
 from catkit.monoid import MonoidCapExceeded, generators_match
 
 import oracles
@@ -243,6 +244,19 @@ def test_double_catalan_quotient_matches_direct(n):
     J = frozenset(range(sys.rank)) - {sys.rank - 1}
     assert generators_match(cx.double_catalan_quotient(sys, J),
                             dcm.dc_monoid(n))
+
+
+@pytest.mark.parametrize("type_string,J", [
+    ("A3", {0, 1}), ("A4", {0, 1, 2}), ("A5", {0, 1, 2, 3}), ("B3", {0}),
+    ("I2:4", {1})])
+def test_double_catalan_quotient_on_bits_matches_matrix_products(
+        type_string, J):
+    sys = cx.from_type_string(type_string)
+    table = cx.double_catalan_quotient(sys, frozenset(J))
+    reference = oracles.double_catalan_quotient_by_mul(sys, frozenset(J))
+    assert all(type(x) is BoolMat for x in table.elements)
+    for field in ("elements", "index", "right", "words", "parent", "gens"):
+        assert getattr(table, field) == getattr(reference, field), field
 
 
 def test_dihedral_double_catalan_regression():
