@@ -30,13 +30,34 @@ L-trivial (Pin, "Mathematical Foundations of Automata Theory", on Green's
 relations), that is, iff neither its right nor its left Cayley graph has a
 cycle other than a self-loop.
 
+The closure itself follows their suffix rule, so that the caller's product
+is called only on the edges that make new words.  A word that is the least
+word of its element has only least words as prefixes and suffixes.  So
+every element u > 0 is its first letter b times its suffix s, the element
+of its word without b, and for each letter a, t = s * a is either the new
+word s a, so that u * a is multiplied out and may be new, or an older
+element, so that by associativity
+
+    u * a = b * t = (b * parent[t]) * (last letter of t).
+
+Column b of the left table gives b * t if t lies in an earlier level, and
+else b * parent[t], which comes no later than u, so that the last step
+reads a row already made.  The left table is filled a level at a time and
+dropped at the end.  At DC_8 the product is called on 16,319 of the
+110,369 edges.
+
 A monoid given by a finite presentation is enumerated by Todd-Coxeter
 coset enumeration instead, and its finished table is renumbered by the same
-closure, so both routes yield comparable tables.
+closure, so both routes yield comparable tables.  The renumbering's product
+is a step of the finished table.  Once the enumeration ends every relation
+holds at every node, so the table is the right regular representation of
+the presented monoid, a node reached by a word depends only on the element
+the word stands for, and the suffix rule applies.
 """
 
 from __future__ import annotations
 
+import gc
 from operator import itemgetter
 from typing import Callable, Hashable, Iterator, Sequence
 
@@ -227,35 +248,90 @@ def generate_monoid(generators: Sequence[Hashable], mul: Callable,
     """Close a generating set under an associative product.
 
     The identity is adjoined as element 0, and the elements are numbered
-    by (word length, word), as the module docstring describes.
+    by (word length, word), as the module docstring describes.  mul is
+    called on the identity's row and on the edges whose suffix makes a new
+    word; the suffix rule gives every other edge, and it holds only if the
+    product is associative.  The cyclic collector is paused for the
+    closure, which makes no reference cycles, and left as it was found.
     """
-    elements = [identity]
-    index = {identity: 0}
-    words: list[tuple[int, ...]] = [()]
-    parent = [0]
-    right: list[list[int]] = []
-    pos = 0
-    while pos < len(elements):
-        x = elements[pos]
-        row = []
-        for g, gen in enumerate(generators):
-            y = mul(x, gen)
-            j = index.get(y)
-            if j is None:
-                j = len(elements)
-                if cap is not None and j >= cap:
-                    raise MonoidCapExceeded(
-                        f"monoid closure exceeded cap of {cap} elements")
-                index[y] = j
-                elements.append(y)
-                words.append(words[pos] + (g,))
-                parent.append(pos)
-            row.append(j)
-        right.append(row)
-        pos += 1
-    gens = tuple(index[g] for g in generators) if generators else ()
-    return MonoidTable(elements=elements, index=index, gens=gens,
-                       right=right, words=words, parent=parent)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        elements = [identity]
+        index = {identity: 0}
+        words: list[tuple[int, ...]] = [()]
+        parent = [0]
+        last = [-1]  # the identity has no last letter
+        # suffix[u - start]: u's word without its first letter, for u in
+        # this level and the next
+        suffix = [0]
+        # begin[u - base] is the first element that row u could find, so
+        # row s found begin[s - base] .. begin[s - base + 1] - 1, the new
+        # words of s; it spans the last level and this one, which hold the
+        # suffixes of this level and its elements
+        begin: list[int] = []
+        base = 0
+        right: list[list[int]] = []
+        # left[b][x]: the index of generators[b] * elements[x], column-major
+        left: list[list[int]] = [[] for _ in generators]
+        start = 0
+        while start < len(elements):
+            end = len(elements)
+            for u in range(start, end):
+                x = elements[u]
+                begin.append(len(elements))
+                row = [0] * len(generators)
+                right.append(row)
+                if u:
+                    # u = b * s for its first letter b; u * a needs a
+                    # product only where s * a is a new word t, the suffix
+                    # of u * a if that is new too
+                    s = suffix[u - start]
+                    fresh = range(begin[s - base], begin[s - base + 1])
+                else:
+                    fresh = range(len(generators))
+                for t in fresh:
+                    a = last[t] if u else t  # the identity's row: every a
+                    y = mul(x, generators[a])
+                    j = index.get(y)
+                    if j is None:
+                        j = len(elements)
+                        if cap is not None and j >= cap:
+                            raise MonoidCapExceeded(
+                                f"monoid closure exceeded cap of {cap} "
+                                f"elements")
+                        index[y] = j
+                        elements.append(y)
+                        words.append(words[u] + (a,))
+                        parent.append(u)
+                        last.append(a)
+                        suffix.append(t if u else 0)
+                    row[a] = j
+                if u:
+                    # otherwise u * a = b * t: column b of the left table
+                    # holds it if t is in an earlier level, and else it is
+                    # (b * parent[t]) * last[t], where b * parent[t] <= u,
+                    # and = u only when t is a new word of s, whose entry
+                    # is already in row
+                    column = left[words[u][0]]
+                    right[u] = [column[t] if t < start
+                                else right[column[parent[t]]][last[t]]
+                                for t in right[s]]
+            if start:
+                for column in left:
+                    column += [right[column[p]][g] for p, g
+                               in zip(parent[start:end], last[start:end])]
+            else:
+                for column, j in zip(left, right[0]):
+                    column.append(j)
+            del begin[:start - base], suffix[:end - start]
+            base, start = start, end
+        gens = tuple(index[g] for g in generators) if generators else ()
+        return MonoidTable(elements=elements, index=index, gens=gens,
+                           right=right, words=words, parent=parent)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def enumerate_presentation(letters: int,

@@ -15,7 +15,7 @@ from catkit import dyck
 from catkit import hecke
 from catkit import permutations as pm
 from catkit import repmin as rm
-from catkit.monoid import MonoidTable, generate_monoid
+from catkit.monoid import MonoidCapExceeded, MonoidTable, generate_monoid
 from catkit.verify import CheckResult, _fail
 
 
@@ -120,6 +120,42 @@ def bruhat_ideal_by_subwords(w: pm.Perm) -> frozenset[pm.Perm]:
         out.update(extension)
         partials.extend(extension)
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# Monoid closure by multiplying every element by every generator.
+
+def closure_by_every_product(generators, mul, identity,
+                             cap=None) -> MonoidTable:
+    """The breadth-first closure that calls mul on all |M| k edges, with
+    generate_monoid's numbering, tables and cap."""
+    elements = [identity]
+    index = {identity: 0}
+    words = [()]
+    parent = [0]
+    right = []
+    pos = 0
+    while pos < len(elements):
+        x = elements[pos]
+        row = []
+        for g, gen in enumerate(generators):
+            y = mul(x, gen)
+            j = index.get(y)
+            if j is None:
+                j = len(elements)
+                if cap is not None and j >= cap:
+                    raise MonoidCapExceeded(
+                        f"monoid closure exceeded cap of {cap} elements")
+                index[y] = j
+                elements.append(y)
+                words.append(words[pos] + (g,))
+                parent.append(pos)
+            row.append(j)
+        right.append(row)
+        pos += 1
+    gens = tuple(index[g] for g in generators) if generators else ()
+    return MonoidTable(elements=elements, index=index, gens=gens,
+                       right=right, words=words, parent=parent)
 
 
 # ---------------------------------------------------------------------------

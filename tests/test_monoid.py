@@ -1,17 +1,23 @@
 import functools
+import gc
 import json
 from collections.abc import Iterator
 
 import pytest
 
 from catkit import boolmat as bm
+from catkit import coxeter as cx
 from catkit import dcm
 from catkit import hecke
+from catkit import monoid
 from catkit import permutations as pm
+from catkit import repmin as rm
+from catkit import verify
 from catkit.cli import _write_json
 from catkit.monoid import (MonoidCapExceeded, ProductRows,
                            enumerate_presentation, gather, generate_monoid,
                            generators_match)
+from oracles import closure_by_every_product
 
 
 def catalan_table(n):
@@ -131,17 +137,24 @@ def _right_zero(x, y):
     return x if y == "1" else y
 
 
-NOT_J_TRIVIAL = {
+def _closing(*args):
+    """A call of generate_monoid looked up when it runs, so a patch of
+    monoid.generate_monoid sees it."""
+    return lambda: monoid.generate_monoid(*args)
+
+
+CLOSURE_ARGS = {
     # the full transformation monoid T_3: 27 elements
-    "T3": lambda: generate_monoid([(1, 0, 2), (1, 2, 0), (0, 0, 2)],
-                                  _compose_transformations, (0, 1, 2)),
-    "S4": lambda: generate_monoid([(1, 0, 2, 3), (1, 2, 3, 0)],
-                                  _compose_transformations, (0, 1, 2, 3)),
+    "T3": ([(1, 0, 2), (1, 2, 0), (0, 0, 2)], _compose_transformations,
+           (0, 1, 2)),
+    "S4": ([(1, 0, 2, 3), (1, 2, 3, 0)], _compose_transformations,
+           (0, 1, 2, 3)),
     # R-trivial, but a and b are L-related: only the left graph has a cycle
-    "left-zero": lambda: generate_monoid(["a", "b"], _left_zero, "1"),
+    "left-zero": (["a", "b"], _left_zero, "1"),
     # its dual: L-trivial, and only the right graph has a cycle
-    "right-zero": lambda: generate_monoid(["a", "b"], _right_zero, "1"),
+    "right-zero": (["a", "b"], _right_zero, "1"),
 }
+NOT_J_TRIVIAL = {name: _closing(*args) for name, args in CLOSURE_ARGS.items()}
 
 
 def _ideal_count_j_trivial(table):
@@ -257,3 +270,113 @@ def test_json_export():
     assert len(rows) == 6
     assert next(iter(rows)) == tuple(range(6))
     assert list(rows) == list(rows) == list(table.product_rows())
+
+
+def _presented(n):
+    """The Todd-Coxeter enumeration of DC_n's presentation, which renumbers
+    its finished table by generate_monoid."""
+    rels = [(tuple(x - 1 for x in lhs), tuple(x - 1 for x in rhs))
+            for lhs, rhs in dcm.presentation_relations(n)]
+    return enumerate_presentation(n - 1, rels)
+
+
+# (module whose generate_monoid calls are checked, what makes them)
+EVERY_PRODUCT_CASES = {
+    **{f"DC{n}": (bm, functools.partial(dcm.dc_monoid.__wrapped__, n))
+       for n in range(2, 8)},
+    **{f"Hecke{n}": (hecke, functools.partial(hecke.hecke_monoid, n))
+       for n in range(1, 7)},
+    **{f"Catalan{n}": (dcm, functools.partial(dcm.catalan_monoid, n))
+       for n in range(1, 8)},
+    **{f"coxeter-{text}": (cx, functools.partial(cx.from_type_string, text))
+       for text in ("A4", "B3", "I2:5")},
+    **{f"convex{n}": (verify, functools.partial(verify.convex_closure, n))
+       for n in range(1, 5)},
+    **{f"presentation{n}": (monoid, functools.partial(_presented, n))
+       for n in range(3, 6)},
+    "dc-module-5": (rm, functools.partial(rm.dc_min_dim, 5)),
+    **{name: (monoid, _closing(*CLOSURE_ARGS[name]))
+       for name in ("T3", "S4", "left-zero")},
+    "identity-generator": (monoid, _closing(
+        [(0, 1, 2), (1, 0, 2), (0, 0, 2)], _compose_transformations,
+        (0, 1, 2))),
+    "repeated-generator": (monoid, _closing(
+        [(1, 2, 0), (0, 0, 2), (1, 2, 0), (0, 0, 2)],
+        _compose_transformations, (0, 1, 2))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVERY_PRODUCT_CASES))
+def test_closure_matches_every_product(monkeypatch, case):
+    """Each closure the case makes equals the one that multiplies every
+    edge, compared as soon as it returns, before its caller edits it."""
+    module, build = EVERY_PRODUCT_CASES[case]
+    checked = []
+
+    def spy(*args):
+        table = generate_monoid(*args)
+        reference = closure_by_every_product(*args)
+        for field in ("elements", "index", "right", "words", "parent",
+                      "gens"):
+            assert getattr(table, field) == getattr(reference, field), field
+        assert table.left_table() == reference.left_table()
+        checked.append(len(table))
+        return table
+
+    monkeypatch.setattr(module, "generate_monoid", spy)
+    build()
+    assert checked
+
+
+def test_closure_multiplies_only_new_words():
+    gens = [g.bits for g in dcm.generators(8)]
+    step = bm._column_or(8, gens)
+    calls = 0
+
+    def counted(x, g):
+        nonlocal calls
+        calls += 1
+        return step(x, g)
+
+    table = generate_monoid(gens, counted, bm.identity_mat(8).bits)
+    assert len(table) == 15767
+    assert calls < len(table) * len(gens) / 5
+
+
+def test_cap_stops_where_every_product_closure_stops():
+    gens, one = dcm.generators(4), bm.identity_mat(4)
+    for cap in range(1, 25):
+        try:
+            expected = len(closure_by_every_product(gens, bm.mul, one, cap))
+        except MonoidCapExceeded:
+            with pytest.raises(MonoidCapExceeded):
+                generate_monoid(gens, bm.mul, one, cap)
+        else:
+            assert len(generate_monoid(gens, bm.mul, one, cap)) == expected
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_closure_pauses_the_collector_and_restores_it(collecting):
+    seen = []
+
+    def capped_sum(x, y):
+        seen.append(gc.isenabled())
+        return min(x + y, 3)
+
+    def failing(x, y):
+        raise ZeroDivisionError
+
+    was = gc.isenabled()
+    try:
+        gc.enable() if collecting else gc.disable()
+        assert len(generate_monoid([1], capped_sum, 0)) == 4
+        assert gc.isenabled() is collecting
+        with pytest.raises(MonoidCapExceeded):
+            generate_monoid([1], capped_sum, 0, cap=2)
+        assert gc.isenabled() is collecting
+        with pytest.raises(ZeroDivisionError):
+            generate_monoid([1], failing, 0)
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable() if was else gc.disable()
+    assert seen and not any(seen)
