@@ -303,6 +303,17 @@ def _interval_fill(alpha: Sequence[int], beta: Sequence[int]) -> BoolMat:
         for j, (hi, lo) in enumerate(zip(alpha, beta))))
 
 
+def _fill_cells(n: int) -> list[list[list[int]]]:
+    """cells[j][lo][hi] is the bits of column j of an interval fill of
+    degree n, holding rows lo..hi, for 1 <= lo <= hi <= n; every other
+    entry is 0.  The fill of (alpha, beta) is the OR of
+    cells[j][beta(j+1)][alpha(j+1)] over the columns j = 0..n-1."""
+    first = _spaced(n, n)
+    return [[[(first & (1 << hi * n) - (1 << (lo - 1) * n)) << j
+              if 0 < lo <= hi else 0 for hi in range(n + 1)]
+             for lo in range(n + 1)] for j in range(n)]
+
+
 def enumerate_convex(n: int) -> Iterator[BoolMat]:
     """All convex relations of degree n: each row an interval of bits
     through its diagonal bit, (i + 1)(n - i) choices for row i, and of

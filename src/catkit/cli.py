@@ -31,6 +31,11 @@ from . import verify
 from .monoid import DEFAULT_CAP, MonoidCapExceeded, ProductRows
 
 
+# The largest degree dcm fiber takes: its sweep of S_n costs 1.3 to 1.7 s
+# and 109 MB at degree 9, and by extrapolation ten times that at 10.
+FIBER_DEGREE_MAX = 9
+
+
 def _whole(flag: str, least: int | None = None):
     """The parser of a numeric flag: an integer, of at least `least` when
     given; anything else ends in a one-line message and exit status 1."""
@@ -334,6 +339,10 @@ def _cmd_dcm(args) -> int:
         try:
             x = bm.parse_matrix(args.argument)
             _check_degree(args, x.n, args.argument)
+            if x.n > FIBER_DEGREE_MAX:
+                raise SystemExit(
+                    "dcm fiber sweeps all of S_n for a matrix of degree n, "
+                    f"so n is at most {FIBER_DEGREE_MAX}, got {x.n}")
             members = dcm.fiber(x)
         except ValueError:
             raise SystemExit("not a matrix of the double Catalan monoid: "

@@ -13,11 +13,11 @@ The projection is computed by two independent routes, generator products
 and interval fill, and the two must agree; a mismatch is an internal error,
 never user error.
 
-Fibers of the projection come from one pass over the permutations in
-lexicographic order, each image the image of a lexicographically earlier
-permutation times one generator, and each checked against its interval
-fill.  Each fiber
-carries a unique 4321-avoiding member, which is also its Bruhat minimum;
+Fibers of the projection come from one depth-first sweep of the prefix
+tree of S_n that keeps both routes: each node ORs one column into its
+parent's partial fill, and each permutation takes one generator step from
+the one with its first descent undone, found by its lexicographic rank.
+Each fiber carries a unique 4321-avoiding member, also its Bruhat minimum;
 its Bruhat-maximal members are exactly the 4231-avoiding ones, and fibers
 are Bruhat convex.  The analogous statements for the one-sided projection
 onto the non-decreasing Catalan monoid (321/312-avoiding witnesses, fibers
@@ -34,6 +34,7 @@ matrix closure generator for generator.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from math import factorial
 from typing import Collection, Iterator, NamedTuple
 
 from . import boolmat as bm
@@ -114,31 +115,63 @@ def projection_fibers(n: int) -> dict[BoolMat, tuple[Perm, ...]]:
     """All fibers of the projection, keyed in lexicographic order of their
     first members, each listing its members in lexicographic order.
 
-    The projection is a monoid homomorphism from the 0-Hecke monoid.  A
-    permutation w other than the identity, with first descent k, is
-    w = v*s_k for the lexicographically earlier v = w*s_k, with
-    len(w) = len(v) + 1, so the image of w is the image of v times the k-th
-    generator: the generator-product route along reduced words, with shared
-    prefixes, on the bits of the matrices.  Every image is then checked
-    against its interval fill.
+    One depth-first sweep of the prefix tree of S_n in lexicographic order
+    (positions from 0) reads both routes, checking each image against its
+    fill.  The fill's column j has top max w(0..j) and bottom min w(j..n-1),
+    the least value not in w(0..j-1), so each node ORs one cell of
+    bm._fill_cells into its parent's fill.  The projection is a monoid
+    homomorphism from the 0-Hecke monoid: w with first descent k is v*s_k
+    for v = w*s_k, lexicographically earlier and one shorter, so the image
+    of w is the image of v times the k-th generator.  Images are listed by
+    rank, the sum of c_i (n-1-i)! over the Lehmer digits c_i of w, c_i the
+    index of w(i) among the values not yet placed.  k is the first i with
+    c_i > c_(i+1), and undoing it swaps those digits and lowers the larger:
+    rank(v) = rank(w) + (c_(k+1) - c_k) (n-1-k)! + (c_k - 1 - c_(k+1)) (n-2-k)!.
     """
+    if n == 0:  # S_0 holds the empty permutation alone
+        return {bm.identity_mat(0): ((),)}
     step = bm._column_or(n, range(n - 1))  # letters are generator positions
-    image: dict[Perm, int] = {}
-    fibers: dict[BoolMat, list[Perm]] = {}
-    for w in pm.all_perms(n):
-        k = next((k for k in range(n - 1) if w[k] > w[k + 1]), None)
-        if k is None:
-            bits = bm.identity_mat(n).bits
-        else:
-            parent = w[:k] + (w[k + 1], w[k]) + w[k + 2:]
-            bits = step(image[parent], k)
-        image[w] = bits
-        x = bm._interval_fill(pm.ltr_maxima(w), pm.rtl_minima(w))
-        if x.bits != bits:
-            raise InternalInconsistency(
-                f"projection routes disagree for {pm.format_perm(w)}")
-        fibers.setdefault(x, []).append(w)
-    return {x: tuple(ws) for x, ws in fibers.items()}
+    cells = bm._fill_cells(n)
+    last = cells[n - 1]
+    fact = [factorial(i) for i in range(n)]
+    identity = bm.identity_mat(n).bits
+    image: list[int] = []  # by lexicographic rank
+    fibers: dict[int, list[Perm]] = {}
+    # A node: its prefix, the values not in it in increasing order, the
+    # fill of its columns, its maximum, its last Lehmer digit (-1 at the
+    # root), and once the prefix has a descent, the first one k and
+    # rank(v) - rank(w).  Children are pushed last first, so they pop in
+    # lexicographic order.
+    stack = [((), tuple(range(1, n + 1)), 0, 0, -1, None, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        prefix, rest, fill, top, digit, k, offset = pop()
+        if len(rest) == 1:  # w's last value, with digit 0, is forced
+            w = prefix + rest
+            fill |= last[rest[0]][n]
+            if k is None and digit > 0:
+                k, offset = n - 2, -1  # v is the permutation just before w
+            bits = identity if k is None else step(image[len(image) + offset],
+                                                   k)
+            if bits != fill:
+                raise InternalInconsistency(
+                    f"projection routes disagree for {pm.format_perm(w)}")
+            image.append(fill)  # equal to bits; shares the key's integer
+            fibers.setdefault(fill, []).append(w)
+            continue
+        j = len(prefix)
+        row = cells[j][rest[0]]
+        for c in range(len(rest) - 1, -1, -1):
+            v = rest[c]
+            t = v if v > top else top
+            if k is None and c < digit:  # the first descent, at j - 1
+                push((prefix + (v,), rest[:c] + rest[c + 1:], fill | row[t],
+                      t, c, j - 1, (c - digit) * fact[n - j]
+                      + (digit - 1 - c) * fact[n - 1 - j]))
+            else:
+                push((prefix + (v,), rest[:c] + rest[c + 1:], fill | row[t],
+                      t, c, k, offset))
+    return {bm.from_bits(n, x): tuple(ws) for x, ws in fibers.items()}
 
 
 def fiber(x: BoolMat) -> tuple[Perm, ...]:

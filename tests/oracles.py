@@ -122,6 +122,30 @@ def bruhat_ideal_by_subwords(w: pm.Perm) -> frozenset[pm.Perm]:
     return frozenset(out)
 
 
+def projection_fibers_by_descent_scan(n: int) -> dict:
+    """dcm.projection_fibers by a pass over pm.all_perms: each image the
+    image of w with its first descent undone, found by a dict keyed by
+    permutations, times one generator, and checked against an interval
+    fill built from w's prefix maxima and suffix minima."""
+    step = bm._column_or(n, range(n - 1))  # letters are generator positions
+    image: dict[pm.Perm, int] = {}
+    fibers: dict[bm.BoolMat, list[pm.Perm]] = {}
+    for w in pm.all_perms(n):
+        k = next((k for k in range(n - 1) if w[k] > w[k + 1]), None)
+        if k is None:
+            bits = bm.identity_mat(n).bits
+        else:
+            parent = w[:k] + (w[k + 1], w[k]) + w[k + 2:]
+            bits = step(image[parent], k)
+        image[w] = bits
+        x = bm._interval_fill(pm.ltr_maxima(w), pm.rtl_minima(w))
+        if x.bits != bits:
+            raise dcm.InternalInconsistency(
+                f"projection routes disagree for {pm.format_perm(w)}")
+        fibers.setdefault(x, []).append(w)
+    return {x: tuple(ws) for x, ws in fibers.items()}
+
+
 # ---------------------------------------------------------------------------
 # Monoid closure by multiplying every element by every generator.
 

@@ -145,6 +145,8 @@ def test_bad_matrices_paths_and_maps_exit_with_a_message(capsys, argv,
     ["dcm", "psi", "1,+2,3"],
     ["dcm", "psi", " 2, 1,3"],
     ["dcm", "psi", "1_0,9,8,7,6,5,4,3,2,1"],
+    # dcm fiber refuses a degree whose sweep of S_n it cannot afford
+    ["dcm", "fiber", ",".join(["1" * 10] * 10)],
 ])
 def test_bad_input_ends_in_a_one_line_message(capsys, argv):
     with pytest.raises(SystemExit) as exc:

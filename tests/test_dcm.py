@@ -1,3 +1,4 @@
+import gc
 import random
 from functools import cache
 
@@ -182,23 +183,69 @@ def test_projection_fibers_equal_the_dc_of_perm_scan(n):
         [(x, tuple(ws)) for x, ws in scan.items()]
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7])
+def test_projection_fibers_equal_the_descent_scan(n):
+    """The prefix sweep gives the fibers of the per-permutation pass, with
+    the same key order and member order, and members that are tuples."""
+    fibers = list(dcm.projection_fibers(n).items())
+    assert fibers == list(oracles.projection_fibers_by_descent_scan(n).items())
+    assert all(type(x) is bm.BoolMat for x, _ in fibers)
+    assert all(type(w) is tuple for _, ws in fibers for w in ws)
+
+
 def test_projection_fibers_name_the_permutation_where_the_routes_disagree(
         monkeypatch):
-    """One flipped bit in the interval fill of 2413, whose fiber has no
-    other member, ends the pass."""
-    interval_fill = bm._interval_fill
+    """One flipped bit in the fill of column 2 over rows 1..4, which 2413
+    is the first permutation of S_4 to use (its prefix 24 has maximum 4
+    and leaves 1 unplaced), ends the sweep at 2413."""
+    fill_cells = bm._fill_cells
 
-    def flipped(alpha, beta):
-        x = interval_fill(alpha, beta)
-        if (alpha, beta) == (pm.ltr_maxima((2, 4, 1, 3)),
-                             pm.rtl_minima((2, 4, 1, 3))):
-            return bm.from_bits(x.n, x.bits ^ 1)
-        return x
+    def flipped(n):
+        cells = fill_cells(n)
+        cells[1][1][4] ^= 1 << 1  # the entry (1, 2)
+        return cells
 
-    monkeypatch.setattr(bm, "_interval_fill", flipped)
+    monkeypatch.setattr(bm, "_fill_cells", flipped)
     with pytest.raises(dcm.InternalInconsistency,
                        match="projection routes disagree for 2413"):
         dcm.projection_fibers.__wrapped__(4)
+
+
+def test_projection_fibers_name_the_permutation_where_a_step_is_wrong(
+        monkeypatch):
+    """One flipped bit in the generator step from the image of 2143 to the
+    image of 2413, whose fiber has no other member, ends the sweep at
+    2413."""
+    source = dcm.dc_of_perm((2, 1, 4, 3)).bits
+    target = dcm.dc_of_perm((2, 4, 1, 3)).bits
+    column_or = bm._column_or
+
+    def flipped(n, keys):
+        step = column_or(n, keys)
+
+        def flipped_step(x, key):
+            y = step(x, key)
+            return y ^ 1 if (x, y) == (source, target) else y
+        return flipped_step
+
+    monkeypatch.setattr(bm, "_column_or", flipped)
+    with pytest.raises(dcm.InternalInconsistency,
+                       match="projection routes disagree for 2413"):
+        dcm.projection_fibers.__wrapped__(4)
+
+
+def test_projection_fibers_leave_no_reference_cycle():
+    """With the collector paused, the sweep leaves nothing for it to
+    find: no object outlives the call by a cycle."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        dcm.projection_fibers.__wrapped__(6)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_projection_fibers_of_degree_eight():
