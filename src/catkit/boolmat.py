@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from itertools import product as _iproduct
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .monoid import MonoidTable, generate_monoid
 from .permutations import (MonotoneMap, Perm, is_nondecreasing_map,
@@ -294,7 +293,8 @@ def from_map_pair(alpha: Sequence[int], beta: Sequence[int]) -> BoolMat:
 
 
 def _interval_fill(alpha: Sequence[int], beta: Sequence[int]) -> BoolMat:
-    """from_map_pair without its checks, for maps monotone by construction."""
+    """from_map_pair without its checks: for maps monotone by construction,
+    or a pair judged by whether its fill reads back as itself."""
     n = len(alpha)
     first = _spaced(n, n)
     # column j holds the bits of C_0 in rows beta(j)..alpha(j), shifted to j
@@ -312,20 +312,6 @@ def _fill_cells(n: int) -> list[list[list[int]]]:
     return [[[(first & (1 << hi * n) - (1 << (lo - 1) * n)) << j
               if 0 < lo <= hi else 0 for hi in range(n + 1)]
              for lo in range(n + 1)] for j in range(n)]
-
-
-def enumerate_convex(n: int) -> Iterator[BoolMat]:
-    """All convex relations of degree n: each row an interval of bits
-    through its diagonal bit, (i + 1)(n - i) choices for row i, and of
-    those choices the ones whose columns are intervals too.
-    """
-    rows = [[((1 << hi + 1) - (1 << lo)) << i * n
-             for lo in range(i + 1) for hi in range(i, n)]
-            for i in range(n)]
-    for choice in _iproduct(*rows):
-        m = from_bits(n, sum(choice))
-        if is_convex(m):
-            yield m
 
 
 # ---------------------------------------------------------------------------

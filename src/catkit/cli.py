@@ -343,6 +343,8 @@ def _cmd_dcm(args) -> int:
                 raise SystemExit(
                     "dcm fiber sweeps all of S_n for a matrix of degree n, "
                     f"so n is at most {FIBER_DEGREE_MAX}, got {x.n}")
+            if not bm.is_convex(x):  # no member of DC_n is; skip the sweep
+                raise ValueError
             members = dcm.fiber(x)
         except ValueError:
             raise SystemExit("not a matrix of the double Catalan monoid: "

@@ -33,8 +33,8 @@ class CheckResult(NamedTuple):
     counterexample: dict | None = None
 
 
-def _fail(name: str, info: dict, **details) -> CheckResult:
-    return CheckResult(name=name, passed=False, details=details,
+def _fail(name: str, info: dict) -> CheckResult:
+    return CheckResult(name=name, passed=False, details={},
                        counterexample=info)
 
 
@@ -163,59 +163,60 @@ def convex_closure(n: int) -> MonoidTable:
 def check_convex_monoid_iso(n_max: int, rng: random.Random) -> CheckResult:
     """Max/min maps give a bijective homomorphism of ordered monoids.
 
-    Exhaustively for n <= 4: the closure of the interval fills of the
-    generator pairs is every convex relation (against bm.enumerate_convex,
-    which builds them row by row from intervals), so the convex relations
-    are closed under product; there are Cat(n)^2 of them, and the pair
-    map psi round-trips through interval fill and is injective, so it is a
-    bijection onto the product of the two Catalan monoids.  psi is then a
-    homomorphism because psi(identity) = (id, id) and psi(a g) = psi(a)
-    psi(g) along every edge a -> a g of the right Cayley table: by
-    induction on the length of a word of b, psi(a b) = psi(a) psi(b) for
-    all a and b, both products being associative.  The closure multiplies
-    only the edges that make new words and derives the rest by
-    associativity, so each edge's target is checked against bm.mul of a
-    and g before its pair is.  So |M| (2n - 2) products stand in for the
-    |M|^2 pairs.
+    Every (max, min) pair is judged by one rule: it is valid iff its
+    interval fill reads back as itself under bm._map_pair.
+
+    Exhaustively for n <= 4, by a counting certificate: each element of the
+    closure of the interval fills of the generator pairs reads a pair,
+    which the validating bm.from_map_pair fills back to the element, so the
+    pair is (non-decreasing, non-increasing).  The pairs are distinct and
+    there are Cat(n)^2 of them, the number of such pairs, so the closure is
+    every convex relation and the pair map psi is a bijection onto the
+    product of the two Catalan monoids.  psi is then a homomorphism because
+    psi(identity) = (id, id) and psi(a g) = psi(a) psi(g) along every edge
+    a -> a g of the right Cayley table: by induction on the length of a
+    word of b, psi(a b) = psi(a) psi(b) for all a and b, both products
+    being associative.  The closure multiplies only the edges that make
+    new words and derives the rest by associativity, so each edge's target
+    is checked against bm.mul of a and g before its pair is.  So
+    |M| (2n - 2) products stand in for the |M|^2 pairs.
 
     Beyond n = 4, 10,000 seeded samples per degree test the product, the
     homomorphism and the union order pair by pair.  Draws repeat
     (Cat(5)^2 = 1,764 relations against 20,000 draws at n = 5), so each
-    distinct drawn (alpha, beta) is filled, read back and round-tripped
-    once per degree.  The samples run in blocks of at most _BLOCK: a
-    block makes and reads its draws in sample order, then one
-    bm.mul_union_lanes call takes all of its products and unions, each
-    matrix in its own lane of one integer.  Each product and union is read
-    through a memo of bm._map_pair by its bits, one per degree, and
-    compose_map(f, g) is one memoised gather per map g.  The memos share
-    one copy of each of the 2 Cat(n) maps of a degree.
+    distinct drawn (alpha, beta) is filled and read back once per degree.
+    The samples run in blocks of at most _BLOCK: a block makes and reads
+    its draws in sample order, then one bm.mul_union_lanes call takes all
+    of its products and unions, each matrix in its own lane of one
+    integer.  Each product and union is read through a memo of
+    bm._map_pair by its bits, one per degree, and compose_map(f, g) is one
+    memoised gather per map g.  The memos share one copy of each of the
+    2 Cat(n) maps of a degree.
 
     The failure reported is the first that a sample-by-sample loop would
-    meet.  A draw that from_map_pair refuses ends its block, and is
-    reported only after the samples before it pass.  Within a sample a
-    refused draw comes first, then a draw that is not convex, then a wrong
-    product or union.
+    meet: within a sample, a draw that does not read back comes before a
+    wrong product or union.
     """
     name = "convex-monoid-iso"
     details = {}
     for n in range(1, min(n_max, 4) + 1):
         table = convex_closure(n)
-        expected = (comb(2 * n, n) // (n + 1)) ** 2
-        if set(table.elements) != set(bm.enumerate_convex(n)):
-            return _fail(name, {"n": n, "closure": len(table),
-                                "reason": "closure is not all convex"})
-        if len(table) != expected:
-            return _fail(name, {"n": n, "convex": len(table),
-                                "expected": expected})
         pairs = []
         for a in table.elements:
-            pair = bm.to_map_pair(a)
+            pair = bm._map_pair(a)
+            if pair is None:
+                return _fail(name, {"n": n, "closure": len(table),
+                                    "reason": "closure is not all convex"})
             if bm.from_map_pair(*pair) != a:
                 return _fail(name, {"n": n, "matrix": bm.to_row_strings(a),
                                     "reason": "round trip failed"})
             pairs.append(pair)
         if len(set(pairs)) != len(pairs):
             return _fail(name, {"n": n, "reason": "not injective"})
+        expected = (comb(2 * n, n) // (n + 1)) ** 2
+        if len(pairs) != expected:
+            return _fail(name, {"n": n, "convex": len(pairs),
+                                "expected": expected})
         ident = pm.identity(n)
         if pairs[table.identity] != (ident, ident):
             return _fail(name, {"n": n, "reason": "identity not fixed"})
@@ -242,20 +243,16 @@ def check_convex_monoid_iso(n_max: int, rng: random.Random) -> CheckResult:
         if n > n_max:
             break
         maps = {}  # one copy of each monotone map, for the memos below
-        drawn = {}  # (alpha, beta) -> (its fill, the fill's pair or None)
+        drawn = {}  # (alpha, beta) -> (its fill, the pair itself or None)
         pair_of = _pair_memo(n, maps)
         for start in range(0, 10_000, _BLOCK):
-            draws, refused = [], None
+            draws = []
             for _ in range(min(_BLOCK, 10_000 - start)):
                 key_a = _random_convex(n, rng)
                 key_b = _random_convex(n, rng)
-                try:
-                    a, pa = drawn.get(key_a) or _read_draw(drawn, key_a, maps)
-                    b, pb = drawn.get(key_b) or _read_draw(drawn, key_b, maps)
-                except ValueError as err:  # from_map_pair refused a draw
-                    refused = err  # reported after the samples before it
-                    break
-                draws.append((a, pa, b, pb))
+                a = drawn.get(key_a) or _read_draw(drawn, key_a, maps)
+                b = drawn.get(key_b) or _read_draw(drawn, key_b, maps)
+                draws.append(a + b)
             products, unions = bm.mul_union_lanes(
                 n, [a.bits for a, _, _, _ in draws],
                 [b.bits for _, _, b, _ in draws])
@@ -278,8 +275,6 @@ def check_convex_monoid_iso(n_max: int, rng: random.Random) -> CheckResult:
                     return _fail(name, {"n": n, "a": bm.to_row_strings(a),
                                         "b": bm.to_row_strings(b)})
                 samples += 1
-            if refused is not None:
-                return _fail(name, {"n": n, "reason": f"sampler: {refused}"})
     details["samples"] = samples
     return CheckResult(name, True, details)
 
@@ -360,22 +355,12 @@ def _random_convex(n: int, rng: random.Random) -> tuple[tuple, tuple]:
 def _read_draw(drawn: dict, key: tuple,
                maps: dict) -> tuple[bm.BoolMat, tuple | None]:
     """Enter a drawn (alpha, beta) in drawn, under the copies of its maps
-    kept in maps: its interval fill, with the (max, min) pair read back
-    from it, or None when it is not convex or the pair does not fill to it
-    again.
-
-    The pair is the key itself when the two are equal, so that the memo of
-    draws holds no second copy of it.
-    """
+    kept in maps: its interval fill, with the key itself as its pair when
+    the fill reads back as the key, and None otherwise."""
     key = _kept(maps, key)
-    a = bm.from_map_pair(*key)
-    pair = bm._map_pair(a)
-    if pair == key:
-        pair = key
-    elif pair is None or bm.from_map_pair(*pair) != a:
-        pair = None
-    drawn[key] = a, pair
-    return a, pair
+    a = bm._interval_fill(*key)
+    drawn[key] = entry = (a, key if bm._map_pair(a) == key else None)
+    return entry
 
 
 def check_projection_two_routes(n_max: int, rng: random.Random) -> CheckResult:
@@ -585,21 +570,17 @@ def check_eigen_split(n_max: int, rng: random.Random) -> CheckResult:
 def check_hecke_min_dim(n_max: int, rng: random.Random) -> CheckResult:
     name = "hecke-min-dim"
     reports = []
-    for rank, expected in ((2, 2 ** 3 - 3 - 1), (3, 2 ** 4 - 4 - 1),
-                           (4, 2 ** 5 - 5 - 1)):
-        rep = rm.min_dim_report(cx.type_a(rank))
+    cases = [(cx.type_a(rank), 2 ** (rank + 1) - rank - 2)
+             for rank in (2, 3, 4)]
+    cases += [(sys, None) for sys in [cx.type_b(2), cx.type_b(3)]
+              + [cx.dihedral(m) for m in range(3, 7)]]
+    for sys, expected in cases:
+        rep = rm.min_dim_report(sys)
         del rep["socles"]  # the summary only; simple-socle checks them
         reports.append(rep)
         if not (rep["effective"] and rep["socle_verified"]
-                and rep["constructed_dim"] == rep["claimed"] == expected):
-            return _fail(name, rep)
-    for sys in [cx.type_b(2), cx.type_b(3)] + [cx.dihedral(m)
-                                               for m in range(3, 7)]:
-        rep = rm.min_dim_report(sys)
-        del rep["socles"]
-        reports.append(rep)
-        if not (rep["effective"] and rep["socle_verified"]
-                and rep["constructed_dim"] == rep["claimed"]):
+                and rep["constructed_dim"] == rep["claimed"]
+                and expected in (None, rep["claimed"])):
             return _fail(name, rep)
     return CheckResult(name, True, {"reports": reports})
 

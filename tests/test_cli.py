@@ -98,6 +98,11 @@ def test_bad_matrices_paths_and_maps_exit_with_a_message(capsys, argv,
     assert capsys.readouterr().out == ""
 
 
+# the degree-9 identity with the entry (1, 9) added: row 1 is no interval
+_NOT_CONVEX_9 = ",".join(["100000001"] + [format(1 << 8 - i, "09b")
+                                          for i in range(1, 9)])
+
+
 @pytest.mark.parametrize("argv", [
     ["coxeter", "--type", "C3"],
     ["coxeter", "--type", "A3", "--cap", "0"],
@@ -147,6 +152,8 @@ def test_bad_matrices_paths_and_maps_exit_with_a_message(capsys, argv,
     ["dcm", "psi", "1_0,9,8,7,6,5,4,3,2,1"],
     # dcm fiber refuses a degree whose sweep of S_n it cannot afford
     ["dcm", "fiber", ",".join(["1" * 10] * 10)],
+    # and a matrix that is not convex, so in no DC_n, without the sweep
+    ["dcm", "fiber", _NOT_CONVEX_9],
 ])
 def test_bad_input_ends_in_a_one_line_message(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -155,6 +162,18 @@ def test_bad_input_ends_in_a_one_line_message(capsys, argv):
     assert isinstance(message, str)  # printed to stderr, exit status 1
     assert message and "\n" not in message
     assert capsys.readouterr().out == ""
+
+
+def test_dcm_fiber_refuses_a_non_convex_matrix_before_the_sweep(
+        monkeypatch):
+    def sweep(n):
+        raise AssertionError(f"swept S_{n}")
+
+    monkeypatch.setattr(dcm, "projection_fibers", sweep)
+    with pytest.raises(SystemExit) as exc:
+        main(["dcm", "fiber", _NOT_CONVEX_9])
+    assert exc.value.code == ("not a matrix of the double Catalan monoid: "
+                              f"{_NOT_CONVEX_9!r}")
 
 
 @pytest.mark.parametrize("argv,key", [

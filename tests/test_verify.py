@@ -108,9 +108,9 @@ def test_convex_monoid_iso_records_a_wrong_sample(monkeypatch, side):
 
 
 def test_convex_monoid_iso_records_a_bad_draw(monkeypatch):
-    """A draw at n = 5 that fills to a non-convex relation, or that
-    from_map_pair refuses, is a failing record, not an exception."""
-    fill = verify.bm.from_map_pair
+    """A draw at n = 5 whose fill is not convex, or does not read back as
+    the draw, is a failing record at its own sample, not an exception."""
+    fill = verify.bm._interval_fill
 
     def empty(alpha, beta):
         if len(alpha) == 5:
@@ -118,7 +118,7 @@ def test_convex_monoid_iso_records_a_bad_draw(monkeypatch):
         return fill(alpha, beta)
 
     with monkeypatch.context() as patch:
-        patch.setattr(verify.bm, "from_map_pair", empty)
+        patch.setattr(verify.bm, "_interval_fill", empty)
         result = verify.check_convex_monoid_iso(5, random.Random(0))
     assert result.passed is False
     assert result.counterexample == {
@@ -129,43 +129,46 @@ def test_convex_monoid_iso_records_a_bad_draw(monkeypatch):
     result = verify.check_convex_monoid_iso(5, random.Random(0))
     assert result.passed is False
     assert result.counterexample == {
-        "n": 5, "reason": "sampler: not a non-decreasing map: (2, 1, 5, 5, 5)"}
+        "n": 5, "a": _REFUSED_ROWS, "b": _REFUSED_ROWS,
+        "reason": "a draw is not convex or fails its round trip"}
 
 
 _IDENTITY = ((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
-_REFUSED = ((2, 1, 5, 5, 5), (1,) * 5)  # alpha is not monotone
+_REFUSED = ((2, 1, 5, 5, 5), (1,) * 5)  # alpha decreases; its fill gaps
 _EMPTY = ((5, 5, 5, 5, 5), (1,) * 5)  # filled to the empty matrix below
 _IDENTITY_ROWS = ["10000", "01000", "00100", "00010", "00001"]
-_REFUSAL = {"n": 5, "reason": "sampler: not a non-decreasing map: "
-                              "(2, 1, 5, 5, 5)"}
+_REFUSED_ROWS = ["11111", "10111", "00111", "00111", "00111"]
+_BAD = "a draw is not convex or fails its round trip"
+_REFUSED_AT_3 = {"n": 5, "a": _REFUSED_ROWS, "b": _IDENTITY_ROWS,
+                      "reason": _BAD}
 
 
 @pytest.mark.parametrize("draws,wrong_product,expected", [
-    ({6: _REFUSED}, False, _REFUSAL),
+    ({6: _REFUSED}, False, _REFUSED_AT_3),
     ({6: _REFUSED, 2: _EMPTY}, False, {
-        "n": 5, "a": ["00000"] * 5, "b": _IDENTITY_ROWS,
-        "reason": "a draw is not convex or fails its round trip"}),
-    ({6: _REFUSED, 10: _EMPTY}, False, _REFUSAL),
+        "n": 5, "a": ["00000"] * 5, "b": _IDENTITY_ROWS, "reason": _BAD}),
+    ({6: _REFUSED, 10: _EMPTY}, False, _REFUSED_AT_3),
     ({6: _REFUSED}, True, {"n": 5, "a": _IDENTITY_ROWS,
-                           "b": _IDENTITY_ROWS}),
-    ({3: _REFUSED, 2: _EMPTY}, False, _REFUSAL),
+                                "b": _IDENTITY_ROWS}),
+    ({3: _REFUSED, 2: _EMPTY}, False, {
+        "n": 5, "a": ["00000"] * 5, "b": _REFUSED_ROWS,
+        "reason": _BAD}),
     ({2047: _EMPTY, 2048: _REFUSED}, False, {
-        "n": 5, "a": _IDENTITY_ROWS, "b": ["00000"] * 5,
-        "reason": "a draw is not convex or fails its round trip"})],
+        "n": 5, "a": _IDENTITY_ROWS, "b": ["00000"] * 5, "reason": _BAD})],
     ids=["refused", "empty-before", "empty-after", "product-before",
          "same-sample", "across-blocks"])
 def test_convex_monoid_iso_reports_the_sequential_first_failure(
         monkeypatch, draws, wrong_product, expected):
-    """Within a block the first failure is the one a sample-by-sample loop
-    meets: samples before a refused draw are checked first, and within a
-    sample a refused draw comes before a non-convex one, which comes
-    before a wrong product.  draws maps a draw's index (sample s draws
-    2s and 2s + 1) to its (alpha, beta); the rest are the identity."""
+    """The first failure is the one a sample-by-sample loop meets: a draw
+    that does not read back fails at its own sample, naming both of that
+    sample's draws, and within a sample it comes before a wrong product.
+    draws maps a draw's index (sample s draws 2s and 2s + 1) to its
+    (alpha, beta); the rest are the identity."""
     index = iter(range(1 << 20))
     monkeypatch.setattr(verify, "_random_convex",
                         lambda n, rng: draws.get(next(index), _IDENTITY))
-    fill = verify.bm.from_map_pair
-    monkeypatch.setattr(verify.bm, "from_map_pair", lambda alpha, beta: (
+    fill = verify.bm._interval_fill
+    monkeypatch.setattr(verify.bm, "_interval_fill", lambda alpha, beta: (
         bm.BoolMat(5, (0,) * 5) if (alpha, beta) == _EMPTY
         else fill(alpha, beta)))
     if wrong_product:
@@ -173,6 +176,41 @@ def test_convex_monoid_iso_reports_the_sequential_first_failure(
     result = verify.check_convex_monoid_iso(5, random.Random(0))
     assert result.passed is False
     assert result.counterexample == expected
+
+
+def test_convex_monoid_iso_fails_a_closure_short_of_the_count(monkeypatch):
+    """The closure of the maxima fills alone, Cat(n) convex relations with
+    distinct pairs, fails the count of the certificate."""
+    closure = verify.convex_closure
+
+    def maxima_only(n):
+        table = closure(n)
+        return verify.generate_monoid(
+            [table.elements[g] for g in table.gens[:n - 1]], bm.mul,
+            bm.identity_mat(n))
+
+    monkeypatch.setattr(verify, "convex_closure", maxima_only)
+    result = verify.check_convex_monoid_iso(4, random.Random(0))
+    assert result.passed is False
+    assert result.counterexample == {"n": 2, "convex": 2, "expected": 4}
+
+
+def test_convex_monoid_iso_fails_a_closure_with_a_non_convex_element(
+        monkeypatch):
+    """A product that drops the diagonal bit (1, 1) from the all-ones
+    matrix puts a non-convex element in the closure at n = 3."""
+    mul = verify.bm.mul
+    top = all_ones(3)
+
+    def wrong(a, b):
+        ab = mul(a, b)
+        return bm.from_bits(3, ab.bits ^ 1) if ab == top else ab
+
+    monkeypatch.setattr(verify.bm, "mul", wrong)
+    result = verify.check_convex_monoid_iso(4, random.Random(0))
+    assert result.passed is False
+    assert result.counterexample == {"n": 3, "closure": 25,
+                                     "reason": "closure is not all convex"}
 
 
 def test_convex_monoid_iso_keeps_its_draw_stream():
