@@ -8,7 +8,9 @@ type B (rank k on 2k signed points, the last generator flipping a sign) and
 the dihedral types (rank 2 on the vertices of a polygon).  generate_monoid
 closes the generators, numbering elements by length with shortest, hence
 reduced, words: lengths are word lengths and the longest element is the
-last one.  Descent sets and the conjugation by it are read off the tables.
+last one.  The system is that closure table, whose product is the group
+product.  Descent sets and the conjugation by the longest element are read
+off the tables.
 
 A parabolic subgroup here is always standard (generated by a subset J of
 the generators).  Each left coset has a unique longest representative,
@@ -54,37 +56,24 @@ class CoxeterError(ValueError):
     pass
 
 
-class CoxeterSystem:
-    __slots__ = ("name", "gen_perms", "matrix", "elements", "index",
-                 "length", "words", "right", "left", "descent_mask",
+class CoxeterSystem(MonoidTable):
+    """A finite Coxeter group as its closure table, whose product is the
+    group product, with the Coxeter data beside it; equal only to itself."""
+    __slots__ = ("name", "gen_perms", "matrix", "length", "descent_mask",
                  "support_mask")
 
-    def __init__(self, name: str, gen_perms: tuple[CarrierPerm, ...],
-                 matrix: tuple[tuple[int, ...], ...],
-                 elements: tuple[CarrierPerm, ...], index: dict,
-                 length: tuple[int, ...], words: tuple[tuple[int, ...], ...],
-                 right: tuple[tuple[int, ...], ...],
-                 left: tuple[tuple[int, ...], ...],
-                 descent_mask: tuple[int, ...],
-                 support_mask: tuple[int, ...]) -> None:
-        self.name = name
-        self.gen_perms = gen_perms
-        self.matrix = matrix
-        self.elements = elements
-        self.index = index
-        self.length = length
-        self.words = words
-        self.right = right
-        self.left = left
-        # per element, bit s set iff s is a right descent / a word letter
-        self.descent_mask = descent_mask
-        self.support_mask = support_mask
-
     def __repr__(self) -> str:
+        tables = (tuple(self.elements), self.length, tuple(self.words),
+                  tuple(map(tuple, self.right)), tuple(map(tuple, self.left)))
         return ("CoxeterSystem(name=%r, gen_perms=%r, matrix=%r, elements=%r, "
                 "length=%r, words=%r, right=%r, left=%r)"
-                % (self.name, self.gen_perms, self.matrix, self.elements,
-                   self.length, self.words, self.right, self.left))
+                % ((self.name, self.gen_perms, self.matrix) + tables))
+
+    @property
+    def left(self) -> list[list[int]]:
+        """left[i][s] is the index of s * elements[i]: the table's
+        left_table(), built on first use."""
+        return self._left or self.left_table()
 
     @property
     def rank(self) -> int:
@@ -93,11 +82,6 @@ class CoxeterSystem:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def generators(self) -> tuple[int, ...]:
-        """Element indices of the generators."""
-        return tuple(self.index[g] for g in self.gen_perms)
 
     @property
     def longest(self) -> int:
@@ -115,16 +99,8 @@ class CoxeterSystem:
     def longest_conjugation(self) -> tuple[int, ...]:
         """The permutation s -> w0 s w0 of generator positions."""
         w0 = self.longest
-        out = []
-        for s in range(self.rank):
-            conj = self.index[_compose(_compose(self.elements[w0],
-                                                self.gen_perms[s]),
-                                       self.elements[w0])]
-            out.append(self.generators.index(conj))
-        return tuple(out)
-
-    def group_mul(self, i: int, j: int) -> int:
-        return self.index[_compose(self.elements[i], self.elements[j])]
+        return tuple(self.gens.index(self.product(self.product(w0, g), w0))
+                     for g in self.gens)
 
 
 def coxeter_system(gen_perms: list[CarrierPerm],
@@ -153,7 +129,6 @@ def coxeter_system(gen_perms: list[CarrierPerm],
             raise CoxeterError(
                 f"generators do not satisfy the Coxeter matrix: "
                 f"got orders {orders}")
-    matrix_t = tuple(tuple(row) for row in orders)
 
     # x * g is x read through g: one gather per product
     act = {g: gather(g) for g in gens}
@@ -162,19 +137,20 @@ def coxeter_system(gen_perms: list[CarrierPerm],
     length = tuple(len(w) for w in table.words)  # closure words are reduced
     if len(length) > 1 and length[-1] == length[-2]:
         raise CoxeterError("longest element is not unique; group not Coxeter?")
-    right = tuple(tuple(row) for row in table.right)
-    descent_mask = tuple(
+    system = CoxeterSystem(table.elements, table.index, table.gens,
+                           table.right, table.words, table.parent)
+    system.name, system.gen_perms = name, gens
+    system.matrix = tuple(tuple(row) for row in orders)
+    system.length = length
+    # per element, bit s set iff s is a right descent / a word letter
+    system.descent_mask = tuple(
         sum(1 << s for s, j in enumerate(row) if length[j] < length[i])
-        for i, row in enumerate(right))
+        for i, row in enumerate(table.right))
     support_mask = [0]
     for p, word in zip(table.parent[1:], table.words[1:]):
         support_mask.append(support_mask[p] | 1 << word[-1])
-    return CoxeterSystem(name=name, gen_perms=gens, matrix=matrix_t,
-                         elements=tuple(table.elements), index=table.index,
-                         length=length, words=tuple(table.words), right=right,
-                         left=tuple(tuple(row) for row in table.left_table()),
-                         descent_mask=descent_mask,
-                         support_mask=tuple(support_mask))
+    system.support_mask = tuple(support_mask)
+    return system
 
 
 def type_a(rank: int, cap: int = DEFAULT_CAP) -> CoxeterSystem:
@@ -315,7 +291,7 @@ def cosets(sys: CoxeterSystem, J: frozenset[int] | set[int]) -> tuple[
     for i in range(sys.order):
         if coset_id[i] >= 0:
             continue
-        members = frozenset(sys.group_mul(i, u) for u in para.members)
+        members = frozenset(sys.product(i, u) for u in para.members)
         cid = len(sets)
         sets.append(members)
         for x in members:
@@ -363,7 +339,9 @@ def catalan_quotient(sys: CoxeterSystem,
     """The transformation monoid of the folding action on the longest coset
     representatives (equivalently on the left ideal of the J idempotent)."""
     para = parabolic(sys, J)
-    return generate_monoid(folding_action(sys, para), _compose,
+    action = folding_action(sys, para)
+    act = {g: gather(g) for g in action}  # x * g is x read through g
+    return generate_monoid(action, lambda x, g: act[g](x),
                            tuple(range(len(para.max_reps))))
 
 

@@ -316,8 +316,7 @@ def socle_dimension(report: SocleReport) -> int:
 def element_column_maps(sys: CoxeterSystem,
                         module: HeckeModule) -> list[tuple[int, ...]]:
     """Column map of every 0-Hecke element, by DP along the element table:
-    element i is its parent times s, the last letter of its word, and the
-    generators are involutions, so the parent is element i times s.
+    element i is its parent times s, the last letter of its word.
 
     A map is a tuple of dim + 1 indices, the sentinel dim standing for the
     zero vector and mapped to itself, so that each element's map is one
@@ -326,10 +325,9 @@ def element_column_maps(sys: CoxeterSystem,
     d = module.dim
     act = [gather([d if i is None else i for i in colmap] + [d])
            for colmap in module.action]
-    maps: list[tuple[int, ...]] = [tuple(range(d + 1))] * sys.order
-    for i in range(1, sys.order):
-        s = sys.words[i][-1]
-        maps[i] = act[s](maps[sys.right[i][s]])
+    maps = [tuple(range(d + 1))]
+    for p, word in zip(sys.parent[1:], sys.words[1:]):
+        maps.append(act[word[-1]](maps[p]))
     return maps
 
 

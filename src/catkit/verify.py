@@ -12,6 +12,7 @@ failing run can be reproduced from its JSON serialization alone.
 from __future__ import annotations
 
 import random
+from functools import partial
 from math import comb, factorial
 from operator import ge, le
 from typing import Callable, Hashable, NamedTuple, Sequence
@@ -152,12 +153,13 @@ def _times_simple(perms: list, idx: dict, i: int) -> Callable[[int], int]:
 
 def convex_closure(n: int) -> MonoidTable:
     """The monoid generated by the 2(n - 1) interval fills
-    (ltr_maxima(s_i), id) and (id, rtl_minima(s_i)) under bm.mul."""
+    (ltr_maxima(s_i), id) and (id, rtl_minima(s_i)), closed on the bits of
+    the matrices (see boolmat)."""
     ident = pm.identity(n)
     steps = [pm.simple_transposition(i, n) for i in range(1, n)]
     gens = [bm.from_map_pair(pm.ltr_maxima(s), ident) for s in steps]
     gens += [bm.from_map_pair(ident, pm.rtl_minima(s)) for s in steps]
-    return generate_monoid(gens, bm.mul, bm.identity_mat(n))
+    return bm._closure(n, [g.bits for g in gens], partial(bm._mul_bits, n))
 
 
 def check_convex_monoid_iso(n_max: int, rng: random.Random) -> CheckResult:

@@ -325,19 +325,26 @@ def random_convex_by_randint(n: int, rng: random.Random) -> tuple[tuple, tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Coxeter tables by composing tuples, parabolics by scanning words, double
-# Catalan quotients by matrix products, and Bruhat order by descent sets.
+# Coxeter tables, group products and Catalan quotients by composing tuples,
+# parabolics by scanning words, double Catalan quotients by matrix
+# products, and Bruhat order by descent sets.
 
 def coxeter_tables_by_compose(gens) -> dict:
     """The closure of gens under cx._compose, one generator expression per
     product, as the CoxeterSystem fields it determines."""
     carrier = len(gens[0]) if gens else 0
     table = generate_monoid(gens, cx._compose, tuple(range(carrier)))
-    return {"elements": tuple(table.elements),
-            "words": tuple(table.words),
+    return {"elements": table.elements,
+            "words": table.words,
             "length": tuple(len(w) for w in table.words),
-            "right": tuple(tuple(row) for row in table.right),
-            "left": tuple(tuple(row) for row in table.left_table())}
+            "right": table.right,
+            "left": table.left_table()}
+
+
+def group_mul_by_compose(sys: cx.CoxeterSystem, i: int, j: int) -> int:
+    """The group product of elements i and j: their carrier permutations
+    composed, then looked up in the index."""
+    return sys.index[cx._compose(sys.elements[i], sys.elements[j])]
 
 
 def parabolic_by_word_scan(sys: cx.CoxeterSystem, J) -> cx.Parabolic:
@@ -351,6 +358,14 @@ def parabolic_by_word_scan(sys: cx.CoxeterSystem, J) -> cx.Parabolic:
                      if all(length[right[i][s]] < length[i] for s in J))
     return cx.Parabolic(J=J, members=members, longest=members[-1],
                         max_reps=max_reps)
+
+
+def catalan_quotient_by_compose(sys: cx.CoxeterSystem, J) -> MonoidTable:
+    """The Catalan quotient closed under cx._compose, one generator
+    expression per product."""
+    para = cx.parabolic(sys, J)
+    return generate_monoid(cx.folding_action(sys, para), cx._compose,
+                           tuple(range(len(para.max_reps))))
 
 
 def double_catalan_quotient_by_mul(sys: cx.CoxeterSystem, J) -> MonoidTable:

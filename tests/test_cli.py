@@ -1,8 +1,10 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import example, given, strategies as st
 import catkit
 from catkit import boolmat as bm
 from catkit import dcm
+from catkit import dyck
 from catkit.cli import _is_prime, _write_json, main
 
 
@@ -162,6 +165,24 @@ def test_bad_input_ends_in_a_one_line_message(capsys, argv):
     assert isinstance(message, str)  # printed to stderr, exit status 1
     assert message and "\n" not in message
     assert capsys.readouterr().out == ""
+
+
+@given(st.text(alphabet="UDX", max_size=16))
+def test_dyck_derivative_reports_or_refuses_any_text(text):
+    """Every string of U, D and a stray letter either gets a report or
+    ends in a one-line message, never a traceback."""
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            code = main(["dyck", "derivative", text])
+    except SystemExit as exc:
+        assert isinstance(exc.code, str)  # printed to stderr, exit status 1
+        assert exc.code and "\n" not in exc.code
+        assert out.getvalue() == ""
+    else:
+        assert code == 0
+        report = json.loads(out.getvalue())
+        assert dyck.is_dyck_path(report["result"]["derivative"])
 
 
 def test_dcm_fiber_refuses_a_non_convex_matrix_before_the_sweep(

@@ -47,9 +47,8 @@ def test_left_table_matches_composing_each_generator(type_string):
     """The left table, built by the prefix rule, against s * w composed
     and looked up for every generator s and element w."""
     sys = cx.from_type_string(type_string)
-    assert sys.left == tuple(
-        tuple(sys.index[cx._compose(g, x)] for g in sys.gen_perms)
-        for x in sys.elements)
+    assert sys.left == [[sys.index[cx._compose(g, x)] for g in sys.gen_perms]
+                        for x in sys.elements]
 
 
 def test_dihedral_is_b2():
@@ -128,7 +127,7 @@ def test_e_mul_and_hecke_mul():
     sys = cx.dihedral(3)
     s, t = 0, 1
     z = 0
-    assert cx.e_mul(sys, s, z) == sys.generators[s]
+    assert cx.e_mul(sys, s, z) == sys.gens[s]
     w0 = sys.longest
     assert cx.e_mul(sys, s, w0) == w0
     sts = cx.e_mul(sys, s, cx.e_mul(sys, t, cx.e_mul(sys, s, 0)))
@@ -157,7 +156,7 @@ def test_parabolic_and_max_reps():
     assert len(para.members) == 2
     assert len(para.max_reps) == 3
     # coset of s1 = {213, 231}: longest representative is 231
-    s1 = sys.generators[0]
+    s1 = sys.gens[0]
     rep = cx.coset_max_rep(sys, para, s1)
     assert sys.elements[rep] == (1, 2, 0)  # 231 in carrier form
     # elements already representatives project to themselves
@@ -259,6 +258,18 @@ def test_double_catalan_quotient_on_bits_matches_matrix_products(
         assert getattr(table, field) == getattr(reference, field), field
 
 
+@pytest.mark.parametrize("type_string", ["A4", "B3", "I2:7"])
+def test_catalan_quotient_by_gather_matches_compose(type_string):
+    sys = cx.from_type_string(type_string)
+    for mask in range(1 << sys.rank):
+        J = frozenset(s for s in range(sys.rank) if mask >> s & 1)
+        table = cx.catalan_quotient(sys, J)
+        reference = oracles.catalan_quotient_by_compose(sys, J)
+        for field in ("elements", "index", "right", "words", "parent",
+                      "gens"):
+            assert getattr(table, field) == getattr(reference, field), field
+
+
 def test_dihedral_double_catalan_regression():
     table = cx.double_catalan_quotient(cx.dihedral(4), frozenset({1}))
     assert len(table) == 7
@@ -302,6 +313,20 @@ def test_closure_by_gather_matches_compose(spec):
     for i in range(sys.order):
         assert sys.descent_mask[i] == sum(1 << s for s in sys.right_descents(i))
         assert sys.support_mask[i] == sum(1 << s for s in set(sys.words[i]))
+    for i in range(1, sys.order):
+        # the generators are involutions, so i times its last letter is
+        # its parent
+        assert sys.parent[i] == sys.right[i][sys.words[i][-1]]
+
+
+@pytest.mark.parametrize("type_string", ["A3", "B3", "I2(5)"])
+def test_product_matches_composing_the_carrier_tuples(type_string):
+    """The table's product, walking j's word, against the group product
+    by composing the two permutations and looking the result up."""
+    sys = cx.from_type_string(type_string)
+    for i in range(sys.order):
+        for j in range(sys.order):
+            assert sys.product(i, j) == oracles.group_mul_by_compose(sys, i, j)
 
 
 @pytest.mark.parametrize("name", ["A4", "B3", "I2:6"])
@@ -316,12 +341,12 @@ def test_one_point_and_empty_carriers_build():
     """The gather of a one-point generator still yields tuples."""
     point = cx.coxeter_system([(0,)], name="custom")
     assert (point.order, point.rank) == (1, 1)
-    assert point.elements == ((0,),)
-    assert point.right == point.left == ((0,),)
+    assert point.elements == [(0,)]
+    assert point.right == point.left == [[0]]
     assert cx.parabolic(point, set()).max_reps == (0,)
     assert cx.vertex_count(point) == 1
     a0 = cx.type_a(0)
-    assert (a0.order, a0.rank, a0.elements) == (1, 0, ((),))
+    assert (a0.order, a0.rank, a0.elements) == (1, 0, [()])
     assert cx.vertex_count(a0) == 0
 
 

@@ -51,6 +51,17 @@ def test_map_path_roundtrip(alpha):
     assert dyck.path_to_map(path) == alpha
 
 
+@given(st.text(alphabet="UDX", max_size=16))
+def test_text_round_trips_iff_it_is_a_dyck_path(text):
+    """Any string of U, D and a stray letter: path_to_map refuses it or
+    map_to_path gives it back, and it gives it back iff it is a path."""
+    try:
+        back = dyck.map_to_path(dyck.path_to_map(text))
+    except ValueError:
+        back = None
+    assert dyck.is_dyck_path(text) == (back == text)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7])
 def test_bijection_between_maps_and_paths(n):
     images = {dyck.map_to_path(a) for a in pm.all_nondecreasing_maps(n)}

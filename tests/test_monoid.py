@@ -290,7 +290,7 @@ EVERY_PRODUCT_CASES = {
        for n in range(1, 8)},
     **{f"coxeter-{text}": (cx, functools.partial(cx.from_type_string, text))
        for text in ("A4", "B3", "I2:5")},
-    **{f"convex{n}": (verify, functools.partial(verify.convex_closure, n))
+    **{f"convex{n}": (bm, functools.partial(verify.convex_closure, n))
        for n in range(1, 5)},
     **{f"presentation{n}": (monoid, functools.partial(_presented, n))
        for n in range(3, 6)},

@@ -199,14 +199,14 @@ def test_convex_monoid_iso_fails_a_closure_with_a_non_convex_element(
         monkeypatch):
     """A product that drops the diagonal bit (1, 1) from the all-ones
     matrix puts a non-convex element in the closure at n = 3."""
-    mul = verify.bm.mul
-    top = all_ones(3)
+    mul = verify.bm._mul_bits
+    top = all_ones(3).bits
 
-    def wrong(a, b):
-        ab = mul(a, b)
-        return bm.from_bits(3, ab.bits ^ 1) if ab == top else ab
+    def wrong(n, x, y):
+        xy = mul(n, x, y)
+        return xy ^ 1 if xy == top else xy
 
-    monkeypatch.setattr(verify.bm, "mul", wrong)
+    monkeypatch.setattr(verify.bm, "_mul_bits", wrong)
     result = verify.check_convex_monoid_iso(4, random.Random(0))
     assert result.passed is False
     assert result.counterexample == {"n": 3, "closure": 25,
