@@ -206,17 +206,44 @@ def _column_or(n: int,
     return step
 
 
+class MatrixTable(MonoidTable):
+    """A closure table of degree-n matrices that keeps their bits: bits[i]
+    is the bits of element i.  elements, a list of BoolMat, and index, a
+    dict from each BoolMat to its number, are made once, on their first
+    read, so a caller that reads only the size or the Cayley tables makes
+    no BoolMat at all."""
+    __slots__ = ("n", "bits", "_elements", "_index")
+
+    def __init__(self, n: int, table: MonoidTable) -> None:
+        # table is closed on the bits; its index, keyed by them, is dropped
+        self.n, self.bits = n, table.elements
+        self.gens, self.right = table.gens, table.right
+        self.words, self.parent, self._left = (table.words, table.parent,
+                                               table._left)
+        self._elements = self._index = None
+
+    @property
+    def elements(self) -> list[BoolMat]:
+        if self._elements is None:
+            n = self.n
+            self._elements = [from_bits(n, x) for x in self.bits]
+        return self._elements
+
+    @property
+    def index(self) -> dict[BoolMat, int]:
+        if self._index is None:
+            self._index = dict(zip(self.elements, range(len(self.bits))))
+        return self._index
+
+
 def _closure(n: int, gens: Sequence[int], step: Callable[[int, int], int],
-             cap: int | None = None) -> MonoidTable:
+             cap: int | None = None, name: str = "the monoid") -> MatrixTable:
     """The closure table of the degree-n matrices with bits gens, run on
     the bits, step(x, g) being the bits of the product of x and g, so that
-    no product hashes a BoolMat; each element then wraps its bits, in
-    place, under the same index numbers."""
-    table = generate_monoid(gens, step, identity_mat(n).bits, cap)
-    table.elements = [from_bits(n, x) for x in table.elements]
-    # the index numbers are the ones right and parent share
-    table.index = dict(zip(table.elements, table.index.values()))
-    return table
+    no product hashes a BoolMat; the elements are wrapped only when read
+    (see MatrixTable)."""
+    return MatrixTable(n, generate_monoid(gens, step, _spaced(n, n + 1), cap,
+                                          name))
 
 
 def union(a: BoolMat, b: BoolMat) -> BoolMat:

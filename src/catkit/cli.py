@@ -28,7 +28,7 @@ from . import hecke
 from . import permutations as pm
 from . import repmin as rm
 from . import verify
-from .monoid import DEFAULT_CAP, MonoidCapExceeded, ProductRows
+from .monoid import DEFAULT_CAP, IntRows, MonoidCapExceeded, ProductRows
 
 
 # The largest degree dcm fiber takes: its sweep of S_n costs 1.3 to 1.7 s
@@ -106,7 +106,8 @@ def _leaf(value, newline: str, texts: _IntTexts) -> str | None:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if set(map(type, value)) != {int}:  # type, as bool is an int
+        # IntRows hold rows; type, not isinstance, as bool is an int
+        if value.__class__ is IntRows or set(map(type, value)) != {int}:
             return None
         inner = newline + "  "
         return ("[" + inner + ("," + inner).join(map(texts.__getitem__, value))
@@ -122,13 +123,15 @@ def _entries(value, newline: str, texts: _IntTexts) -> Iterator[str] | None:
     of ints, a row being a list or a tuple; else None.  One type scan over
     the entries, and one over the rows' entries, stand for a type test per
     entry, so a bool or any other type in a row, or an iterator, leaves
-    the value to the generic path."""
-    kinds = set(map(type, value))
-    if kinds == {str}:
-        return map(_quote, value)
-    if not kinds <= {list, tuple} or not set(
-            map(type, chain.from_iterable(value))) <= {int}:
-        return None
+    the value to the generic path.  IntRows, which a table built from its
+    own rows, skips both scans."""
+    if value.__class__ is not IntRows:
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            return map(_quote, value)
+        if not kinds <= {list, tuple} or not set(
+                map(type, chain.from_iterable(value))) <= {int}:
+            return None
     inner = newline + "  "
     head, sep, tail = "[" + inner, "," + inner, newline + "]"
     get = texts.__getitem__
@@ -147,7 +150,8 @@ def _write_json(value, write, newline: str = "\n",
     down to the nested ones.  Two kinds of list or tuple skip the test of
     each entry (see _entries): one of strs only, each entry quoted, and
     one of rows of ints only, such as a table's words or Cayley rows, each
-    row one join of its ints' texts.  Either is written one entry at a
+    row one join of its ints' texts; a table hands those as IntRows, which
+    are not scanned at all.  Either is written one entry at a
     time, so no text of the whole block is held.  A monoid.ProductRows
     view, a table's product rows, is written from rows of those texts,
     each gathered from its parent's row and joined in one piece.
@@ -572,8 +576,13 @@ def main(argv: list[str] | None = None) -> int:
         # point stdout at devnull so the final flush at exit cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (MonoidCapExceeded, cx.CoxeterError) as err:
-        # a closure beyond its cap, or a group the input does not define
+    except MonoidCapExceeded as err:
+        # a closure beyond its cap, which names the closure; only the
+        # subcommands that take --cap can raise it
+        hint = "; --cap raises it" if "cap" in vars(args) else ""
+        raise SystemExit(f"{err}{hint}") from None
+    except cx.CoxeterError as err:
+        # a group the input does not define
         raise SystemExit(str(err)) from None
     return code
 

@@ -133,7 +133,9 @@ def coxeter_system(gen_perms: list[CarrierPerm],
     # x * g is x read through g: one gather per product
     act = {g: gather(g) for g in gens}
     table = generate_monoid(gens, lambda x, g: act[g](x),
-                            tuple(range(carrier)), cap)
+                            tuple(range(carrier)), cap,
+                            f"the {name} Coxeter group" if name
+                            else "the Coxeter group")
     length = tuple(len(w) for w in table.words)  # closure words are reduced
     if len(length) > 1 and length[-1] == length[-2]:
         raise CoxeterError("longest element is not unique; group not Coxeter?")

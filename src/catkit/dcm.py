@@ -79,19 +79,24 @@ def dc_of_perm(w: Perm) -> BoolMat:
 
 
 @lru_cache(maxsize=None)
-def dc_monoid(n: int, cap: int = DEFAULT_CAP) -> MonoidTable:
+def dc_monoid(n: int, cap: int = DEFAULT_CAP) -> bm.MatrixTable:
     """Closure table of the double Catalan monoid of degree n; a monoid of
-    more than cap elements raises MonoidCapExceeded.
+    more than cap elements raises MonoidCapExceeded, naming DC_n.
 
     The closure runs on the bits of the matrices (see boolmat), where right
     multiplication by the i-th generator ORs columns i and i+1, so that no
-    product hashes a BoolMat; each element then wraps its bits.
+    product hashes a BoolMat; the table keeps the bits and wraps its
+    elements only when they are read, so the size and the Cayley tables
+    cost no BoolMat.  The generators' bits are the identity's diagonal
+    with the entries (i, i+1) and (i+1, i) set.
     """
-    gens = [g.bits for g in generators(n)]
-    return bm._closure(n, gens, bm._column_or(n, gens), cap)
+    one = bm._spaced(n, n + 1)
+    gens = [one | 1 << (i - 1) * n + i | 1 << i * n + i - 1
+            for i in range(1, n)]
+    return bm._closure(n, gens, bm._column_or(n, gens), cap, f"DC_{n}")
 
 
-def _capped(n: int, cap: int) -> MonoidTable:
+def _capped(n: int, cap: int) -> bm.MatrixTable:
     """dc_monoid(n, cap), cached as dc_monoid(n) at the default cap."""
     return dc_monoid(n) if cap == DEFAULT_CAP else dc_monoid(n, cap)
 
@@ -209,21 +214,47 @@ class FiberReport(NamedTuple):
 
 
 def _bruhat_maximal(members: tuple[Perm, ...]) -> frozenset[Perm]:
-    """The members below no other member in the Bruhat order.
+    """The members below no other member in the Bruhat order, for members
+    a whole fiber of the projection.
 
-    The candidates are the members that no member covers.  Climbing
-    covers inside members from any member ends at a candidate, so every
-    member lies below one; hence a single candidate is the maximum, and
-    otherwise a candidate is maximal iff it lies below no other candidate.
+    The candidates are the members with no upper cover in the fiber.
+    Climbing covers inside the fiber from any member ends at a candidate,
+    so every member lies below one; hence a single candidate is the
+    maximum, and otherwise a candidate is maximal iff it lies below no
+    other candidate.  A cover u*(i j), i < j, of u (u(i) < u(j) and no
+    value between them at the positions between) has the same prefix
+    maxima as u iff max u(0..i-1) > u(j), and the same suffix minima iff
+    min u(j+1..) < u(i): the swap then moves no record.  All members share
+    both, as they share the projection, so the test reads u alone; the
+    rule needs the whole fiber, as a cover that passes it lies in the
+    fiber whether or not it was passed in.
     """
-    member_set = set(members)
+    tops, bottoms = pm.ltr_maxima(members[0]), pm.rtl_minima(members[0])
     candidates = [u for u in members
-                  if not any(v in member_set for v in bruhat_covers(u))]
+                  if not _has_cover_in_fiber(u, tops, bottoms)]
     if len(candidates) == 1:
         return frozenset(candidates)
     return frozenset(
         w for w in candidates
         if not any(v != w and pm.bruhat_leq(w, v) for v in candidates))
+
+
+def _has_cover_in_fiber(u: Perm, tops: MonotoneMap,
+                        bottoms: MonotoneMap) -> bool:
+    """Whether a Bruhat cover of u has the prefix maxima tops and suffix
+    minima bottoms of u (see _bruhat_maximal)."""
+    n = len(u)
+    for i in range(1, n - 2):
+        low = u[i]
+        # the least value above low seen since i, below the maximum before
+        # i, which a cover's u(j) must stay under
+        ceiling = tops[i - 1]
+        for j in range(i + 1, n - 1):
+            if low < u[j] < ceiling:
+                if bottoms[j + 1] < low:
+                    return True
+                ceiling = u[j]
+    return False
 
 
 def fiber_analysis(x: BoolMat) -> FiberReport:
@@ -393,6 +424,7 @@ def verify_presentation(n: int, cap: int = DEFAULT_CAP) -> PresentationReport:
     table = _capped(n, cap)
     rels = [(tuple(x - 1 for x in lhs), tuple(x - 1 for x in rhs))
             for lhs, rhs in presentation_relations(n)]
-    presented = enumerate_presentation(n - 1, rels, cap)
+    presented = enumerate_presentation(n - 1, rels, cap,
+                                       f"the DC_{n} presentation")
     return PresentationReport(presented_size=len(presented),
                               matches=generators_match(presented, table))

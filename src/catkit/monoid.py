@@ -101,7 +101,7 @@ class MonoidTable:
         self._left = _left
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.right)  # not elements, which a subclass may make
 
     @property
     def identity(self) -> int:
@@ -180,18 +180,19 @@ class MonoidTable:
         return [i for i in range(len(self)) if self.product(i, i) == i]
 
     def to_json_dict(self, element_repr: Callable = str) -> dict:
-        """The table as JSON data.  "words" and "right_cayley" are the
-        table's own arrays, not copies, so they are to be read only.
-        "product_table" is None above MAX_PRODUCT_TABLE elements, else the
-        view ProductRows(self), so a writer can stream the rows without
-        holding them all, and gather each row's texts instead of writing
-        its ints one by one."""
+        """The table as JSON data.  "words" and "right_cayley" are IntRows
+        of the table's own rows, not copies, so the rows are to be read
+        only, and a writer can join each row's ints without testing their
+        types.  "product_table" is None above MAX_PRODUCT_TABLE
+        elements, else the view ProductRows(self), so a writer can stream
+        the rows without holding them all, and gather each row's texts
+        instead of writing its ints one by one."""
         return {
             "size": len(self),
             "generators": list(self.gens),
             "elements": list(map(element_repr, self.elements)),
-            "words": self.words,
-            "right_cayley": self.right,
+            "words": IntRows(self.words),
+            "right_cayley": IntRows(self.right),
             "product_table": (ProductRows(self)
                               if len(self) <= MAX_PRODUCT_TABLE else None),
         }
@@ -207,6 +208,13 @@ class MonoidTable:
                 lines.append(f'  n{i} -> n{j} [label="g{g + 1}"];')
         lines.append("}")
         return "\n".join(lines)
+
+
+class IntRows(list):
+    """Rows of ints only, each a list or a tuple, as a table builds them:
+    a list that vouches for its entries, so that a writer may join each
+    row's ints without testing the type of each entry."""
+    __slots__ = ()
 
 
 class ProductRows:
@@ -244,7 +252,8 @@ def _loops_only(graph: list[list[int]]) -> bool:
 
 
 def generate_monoid(generators: Sequence[Hashable], mul: Callable,
-                    identity: Hashable, cap: int | None = None) -> MonoidTable:
+                    identity: Hashable, cap: int | None = None,
+                    name: str = "the monoid") -> MonoidTable:
     """Close a generating set under an associative product.
 
     The identity is adjoined as element 0, and the elements are numbered
@@ -253,6 +262,8 @@ def generate_monoid(generators: Sequence[Hashable], mul: Callable,
     word; the suffix rule gives every other edge, and it holds only if the
     product is associative.  The cyclic collector is paused for the
     closure, which makes no reference cycles, and left as it was found.
+    More than cap elements raise MonoidCapExceeded, whose message names
+    the monoid by name.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -298,7 +309,7 @@ def generate_monoid(generators: Sequence[Hashable], mul: Callable,
                         j = len(elements)
                         if cap is not None and j >= cap:
                             raise MonoidCapExceeded(
-                                f"monoid closure exceeded cap of {cap} "
+                                f"closure of {name} exceeded cap of {cap} "
                                 f"elements")
                         index[y] = j
                         elements.append(y)
@@ -337,7 +348,8 @@ def generate_monoid(generators: Sequence[Hashable], mul: Callable,
 def enumerate_presentation(letters: int,
                            relations: Sequence[tuple[Sequence[int],
                                                      Sequence[int]]],
-                           cap: int | None = None) -> MonoidTable:
+                           cap: int | None = None,
+                           name: str = "the presentation") -> MonoidTable:
     """Close the monoid on letters 0..letters-1 subject to relation pairs.
 
     Todd-Coxeter enumeration with the HLT strategy: nodes stand for
@@ -349,8 +361,8 @@ def enumerate_presentation(letters: int,
     at each node, so the nodes are exactly the elements of the presented
     monoid.  More than cap live nodes at any one time, which may be more
     than the monoid has elements, raise MonoidCapExceeded; this also stops
-    the enumeration of an infinite monoid.  The finished table is
-    renumbered by generate_monoid.
+    the enumeration of an infinite monoid; the message names the monoid
+    by name.  The finished table is renumbered by generate_monoid.
     """
     table: list[list[int | None] | None] = [[None] * letters]
     parent = [0]
@@ -366,7 +378,8 @@ def enumerate_presentation(letters: int,
         nonlocal live
         if cap is not None and live >= cap:
             raise MonoidCapExceeded(
-                f"coset enumeration exceeded cap of {cap} live nodes")
+                f"coset enumeration of {name} exceeded cap of {cap} "
+                f"live nodes")
         y = len(table)
         table.append([None] * letters)
         parent.append(y)
@@ -432,7 +445,7 @@ def enumerate_presentation(letters: int,
     for g, node in enumerate(rows[0]):
         letter_of.setdefault(node, g)
     return generate_monoid(rows[0], lambda x, node: rows[x][letter_of[node]],
-                           0, cap)
+                           0, cap, name)
 
 
 def generators_match(a: MonoidTable, b: MonoidTable) -> bool:

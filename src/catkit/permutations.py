@@ -374,8 +374,26 @@ def min_perm_with_maxima(alpha: Sequence[int]) -> Perm:
 # ---------------------------------------------------------------------------
 # Serialization: digit strings for n <= 9, comma-separated for n >= 10.
 
+class _PermTemplates(dict):
+    """The %-template of the value tuples of each length, made on first
+    use: one %d per value, joined by commas above nine values."""
+
+    def __missing__(self, length: int) -> str:
+        template = self[length] = ("" if length <= 9 else ",").join(
+            ["%d"] * length)
+        return template
+
+
+_PERM_TEMPLATES = _PermTemplates()
+
+
 def format_perm(w: Sequence[int]) -> str:
-    return ("" if len(w) <= 9 else ",").join(map(str, w))
+    """The values of w, by one %-format of its length's template.
+
+    >>> format_perm((3, 1, 2)), format_perm(list(range(10, 0, -1)))
+    ('312', '10,9,8,7,6,5,4,3,2,1')
+    """
+    return _PERM_TEMPLATES[len(w)] % tuple(w)
 
 
 _PERM_TEXT = re.compile(r"[0-9]*|[0-9]+(?:,[0-9]+)+")

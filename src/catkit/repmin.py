@@ -430,6 +430,7 @@ def dc_min_dim(n: int) -> dict:
     action = dc_module_action(n)
     act = {g: gather(g) for g in action}
     image = generate_monoid(action, lambda x, g: act[g](x),
-                            tuple(range(2 * n - 1)), DEFAULT_CAP)
+                            tuple(range(2 * n - 1)), DEFAULT_CAP,
+                            f"the DC_{n} module's image")
     return {"n": n, "dim": 2 * n - 2,
             "effective": generators_match(image, table)}

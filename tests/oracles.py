@@ -106,6 +106,21 @@ def bruhat_maximal_by_pairs(members) -> frozenset[pm.Perm]:
         if not any(v != w and pm.bruhat_leq(w, v) for v in members))
 
 
+def bruhat_maximal_by_covers(members) -> frozenset[pm.Perm]:
+    """The members below no other member, for any set of permutations: the
+    candidates are the members that no member covers, found by listing
+    each member's covers, and a candidate is maximal iff it is the only
+    one or lies below no other candidate."""
+    member_set = set(members)
+    candidates = [u for u in members
+                  if not any(v in member_set for v in pm.bruhat_covers(u))]
+    if len(candidates) == 1:
+        return frozenset(candidates)
+    return frozenset(
+        w for w in candidates
+        if not any(v != w and pm.bruhat_leq(w, v) for v in candidates))
+
+
 def bruhat_ideal_by_subwords(w: pm.Perm) -> frozenset[pm.Perm]:
     """The principal Bruhat ideal of w as the values of all subwords of one
     reduced word of w (the subword property)."""
@@ -149,10 +164,10 @@ def projection_fibers_by_descent_scan(n: int) -> dict:
 # ---------------------------------------------------------------------------
 # Monoid closure by multiplying every element by every generator.
 
-def closure_by_every_product(generators, mul, identity,
-                             cap=None) -> MonoidTable:
+def closure_by_every_product(generators, mul, identity, cap=None,
+                             name="the monoid") -> MonoidTable:
     """The breadth-first closure that calls mul on all |M| k edges, with
-    generate_monoid's numbering, tables and cap."""
+    generate_monoid's numbering, tables, cap and cap message."""
     elements = [identity]
     index = {identity: 0}
     words = [()]
@@ -169,7 +184,7 @@ def closure_by_every_product(generators, mul, identity,
                 j = len(elements)
                 if cap is not None and j >= cap:
                     raise MonoidCapExceeded(
-                        f"monoid closure exceeded cap of {cap} elements")
+                        f"closure of {name} exceeded cap of {cap} elements")
                 index[y] = j
                 elements.append(y)
                 words.append(words[pos] + (g,))
@@ -180,6 +195,17 @@ def closure_by_every_product(generators, mul, identity,
     gens = tuple(index[g] for g in generators) if generators else ()
     return MonoidTable(elements=elements, index=index, gens=gens,
                        right=right, words=words, parent=parent)
+
+
+def closure_by_wrapping(n, gens, step, cap=None,
+                        name="the monoid") -> MonoidTable:
+    """The closure of the degree-n matrices with bits gens, run on the bits
+    by step, with every element wrapped into a BoolMat and rehashed into a
+    new index as soon as it returns."""
+    table = generate_monoid(gens, step, bm.identity_mat(n).bits, cap, name)
+    table.elements = [bm.from_bits(n, x) for x in table.elements]
+    table.index = dict(zip(table.elements, table.index.values()))
+    return table
 
 
 # ---------------------------------------------------------------------------

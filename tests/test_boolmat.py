@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from catkit import boolmat as bm
+from catkit import coxeter as cx
 from catkit import dcm
 from catkit import permutations as pm
 from catkit import verify
@@ -383,3 +384,53 @@ def test_row_strings_round_trip_through_parse_matrix(data):
     a = bm.BoolMat(n, tuple(rows))
     for sep in (",", "\n"):
         assert bm.parse_matrix(sep.join(bm.to_row_strings(a))) == a
+
+
+# Matrix closures keep their bits and wrap their elements on first read.
+
+LAZY_CLOSURES = {
+    **{f"DC{n}": lambda n=n: dcm.dc_monoid.__wrapped__(n) for n in range(1, 8)},
+    **{f"convex{n}": lambda n=n: verify.convex_closure(n) for n in range(1, 5)},
+    **{f"A{r}-double": lambda r=r: cx.double_catalan_quotient(
+        cx.type_a(r), frozenset(range(r - 1))) for r in (3, 4, 5)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAZY_CLOSURES))
+def test_lazy_closure_matches_the_eager_wrapping(monkeypatch, case):
+    """Each matrix closure equals the one that wraps every element as it
+    returns, field by field, and wraps each element exactly once."""
+    closure, checked = bm._closure, []
+
+    def spy(*args):
+        table = closure(*args)
+        reference = oracles.closure_by_wrapping(*args)
+        assert table.bits == [x.bits for x in reference.elements]
+        for field in ("elements", "index", "gens", "right", "words",
+                      "parent"):
+            assert getattr(table, field) == getattr(reference, field), field
+        assert table.left_table() == reference.left_table()
+        assert type(table.elements) is list and type(table.index) is dict
+        assert all(type(x) is bm.BoolMat for x in table.elements)
+        assert table.elements is table.elements
+        assert table.index is table.index
+        assert all(a is b for a, b in zip(table.index, table.elements))
+        assert list(table.index.values()) == list(range(len(table)))
+        checked.append(case)
+        return table
+
+    monkeypatch.setattr(bm, "_closure", spy)
+    LAZY_CLOSURES[case]()
+    assert checked == [case]
+
+
+def test_lazy_index_finds_only_its_own_matrices():
+    table = dcm.dc_monoid.__wrapped__(4)
+    for i, x in enumerate(table.elements):
+        assert table.index[bm.from_bits(4, x.bits)] == i
+        assert bm.from_bits(3, x.bits) not in table.index
+        assert bm.from_bits(5, x.bits) not in table.index
+        assert x.bits not in table.index
+        assert (4, x.bits) not in table.index
+        assert str(x) not in table.index
+    assert None not in table.index

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import json
@@ -14,7 +15,8 @@ import catkit
 from catkit import boolmat as bm
 from catkit import dcm
 from catkit import dyck
-from catkit.cli import _is_prime, _write_json, main
+from catkit.cli import _entries, _IntTexts, _is_prime, _write_json, main
+from catkit.monoid import IntRows
 
 
 def _cli_env():
@@ -205,6 +207,48 @@ def test_dcm_fiber_refuses_a_non_convex_matrix_before_the_sweep(
 def test_a_matching_n_is_accepted(capsys, argv, key):
     code, report = run_cli(capsys, *argv)
     assert code == 0 and report["result"][key]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["dcm", "--n", "9", "count"],
+     "closure of DC_9 exceeded cap of 32768 elements; --cap raises it"),
+    (["dcm", "--n", "9", "self-dual", "--cap", "1000"],
+     "closure of DC_9 exceeded cap of 1000 elements; --cap raises it"),
+    (["dcm", "--n", "4", "verify-presentation", "--cap", "30"],
+     "coset enumeration of the DC_4 presentation exceeded cap of 30 live "
+     "nodes; --cap raises it"),
+    (["export", "--what", "dc", "--n", "9"],
+     "closure of DC_9 exceeded cap of 32768 elements"),
+    (["repmin", "--dc", "9"],
+     "closure of DC_9 exceeded cap of 32768 elements"),
+    (["coxeter", "--type", "A3", "--cap", "20"],
+     "closure of the A3 Coxeter group exceeded cap of 20 elements; "
+     "--cap raises it"),
+    (["repmin", "--type", "A7"],
+     "closure of the A7 Coxeter group exceeded cap of 32768 elements"),
+])
+def test_a_cap_message_names_the_closure(capsys, argv, message):
+    """The message names the monoid and its degree, and mentions --cap
+    only where the subcommand takes it."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == message
+    assert capsys.readouterr().out == ""
+
+
+def test_dcm_count_wraps_no_matrix(capsys, monkeypatch):
+    """dcm count reads only the closure's size, so it makes no BoolMat; the
+    same table's elements make one per element."""
+    calls = []
+    from_bits = bm.from_bits
+    monkeypatch.setattr(bm, "from_bits",
+                        lambda n, x: calls.append(x) or from_bits(n, x))
+    fresh = functools.lru_cache(maxsize=None)(dcm.dc_monoid.__wrapped__)
+    monkeypatch.setattr(dcm, "dc_monoid", fresh)
+    _, report = run_cli(capsys, "dcm", "--n", "8", "count")
+    assert report["result"] == {"size": 15767}
+    assert calls == []
+    assert len(fresh(8).elements) == len(calls) == 15767
 
 
 def test_dcm_count_at_degree_nine():
@@ -496,6 +540,15 @@ PINNED_DIGESTS = [
     (["coxeter", "--type", "A5", "--quotient", "double",
       "--J", "s1,s2,s3,s4"],
      "0976a910a4ed12299115fdd1739d2b89fae5f24dce66f9f42dd0668bf7da3d94"),
+    # the other three commands of the closure benchmark, and a DC export
+    (["export", "--what", "hecke", "--n", "7"],
+     "7116b68ae2c6329bafeed4fc4723793ef24a49e9123a0de0208b3c0e512c1b06"),
+    (["export", "--what", "catalan", "--n", "9"],
+     "51d23d73e48389e1dc873b6e18b8ef2e131e8b70abb1f53b8824721f9911591f"),
+    (["export", "--what", "dc", "--n", "6"],
+     "c95ff4773ac0c2031bab8d6c49b75cc2d179dcaaf0ec82468d997b5be68892b6"),
+    (["dcm", "--n", "8", "count"],
+     "102e92ef37e4c9c3c19b23feedb27b74a7429d9190f25fc443dc3ee0514042c5"),
 ]
 
 
@@ -564,6 +617,39 @@ JSON_VALUES = st.recursive(
 def test_writer_matches_json(value):
     expected = json.dumps(_plain(value), sort_keys=True, indent=2)
     assert _written(_for_writer(value)) == expected
+
+
+INT_ROWS = st.lists(st.lists(st.integers())
+                    | st.lists(st.integers()).map(tuple))
+
+
+@given(INT_ROWS, INT_ROWS)
+@example([[3, -1, 2 ** 70], [], (0, -2 ** 70), (), [7]], [])
+def test_int_rows_write_as_the_plain_lists(words, right):
+    """IntRows skip the type scans and write as json.dumps writes the plain
+    lists, alone or among other values."""
+    assert _written(IntRows(words)) == json.dumps(_plain(words), indent=2)
+    value = {"words": IntRows(words), "right": IntRows(right), "z": [True]}
+    assert _written(value) == json.dumps(_plain(value), sort_keys=True,
+                                         indent=2)
+
+
+def test_a_row_holding_a_bool_takes_the_generic_path():
+    rows = [[1, 0], [1, True], (2,)]
+    assert _entries(rows, "\n", _IntTexts()) is None
+    assert _entries([[1, 0], (2,)], "\n", _IntTexts()) is not None
+    assert _written(rows) == json.dumps(rows, indent=2)
+    assert "true" in _written(rows)
+
+
+def test_a_table_hands_its_rows_as_int_rows():
+    table = dcm.catalan_monoid(4)
+    data = table.to_json_dict()
+    for key, rows in (("words", table.words), ("right_cayley", table.right)):
+        assert type(data[key]) is IntRows and data[key] == rows
+    assert _written(data) == json.dumps(_plain({**data, "product_table": [
+        list(row) for row in data["product_table"]]}), sort_keys=True,
+        indent=2)
 
 
 @given(JSON_VALUES, st.integers() | st.none() | st.booleans() | st.floats(),

@@ -334,24 +334,52 @@ def test_bruhat_maximal_matches_the_pairwise_reference(n):
             oracles.bruhat_maximal_by_pairs(members)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7])
+def test_cover_rule_matches_the_cover_route(n):
+    """On every fiber, each member has a cover in the fiber by the rule iff
+    one of its listed covers is a member, so both routes find the same
+    candidates and the same maxima."""
+    for members in dcm.projection_fibers(n).values():
+        member_set = set(members)
+        tops, bottoms = pm.ltr_maxima(members[0]), pm.rtl_minima(members[0])
+        for u in members:
+            assert dcm._has_cover_in_fiber(u, tops, bottoms) == any(
+                v in member_set for v in pm.bruhat_covers(u)), u
+        assert dcm._bruhat_maximal(members) == \
+            oracles.bruhat_maximal_by_covers(members)
+
+
+def test_bruhat_maximal_compares_its_candidates(monkeypatch):
+    """With every member a candidate, the comparison alone must find the
+    maxima: no fiber to degree 7 has a candidate below another member, so
+    the fibers alone would not see the comparison skipped."""
+    monkeypatch.setattr(dcm, "_has_cover_in_fiber", lambda *args: False)
+    for n in range(6):
+        for members in dcm.projection_fibers(n).values():
+            assert dcm._bruhat_maximal(members) == \
+                oracles.bruhat_maximal_by_pairs(members)
+
+
+# The cover route works on any set of permutations, not only whole fibers.
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_bruhat_maximal_matches_the_pairwise_reference_on_catalan_fibers(n):
     for alpha in pm.all_nondecreasing_maps(n):
         members = tuple(dcm._maxima_fiber(alpha))
-        assert dcm._bruhat_maximal(members) == \
+        assert oracles.bruhat_maximal_by_covers(members) == \
             oracles.bruhat_maximal_by_pairs(members)
 
 
 def test_bruhat_maximal_of_small_sets():
     """One member, an antichain, and a chain with a gap, whose bottom no
     member covers although it is not maximal."""
-    assert dcm._bruhat_maximal(((2, 1, 3),)) == {(2, 1, 3)}
-    assert dcm._bruhat_maximal(((),)) == {()}
+    maximal = oracles.bruhat_maximal_by_covers
+    assert maximal(((2, 1, 3),)) == {(2, 1, 3)}
+    assert maximal(((),)) == {()}
     antichain = ((2, 1, 3), (1, 3, 2))
-    assert dcm._bruhat_maximal(antichain) == set(antichain)
-    assert dcm._bruhat_maximal(((1, 2, 3), (3, 2, 1))) == {(3, 2, 1)}
-    assert dcm._bruhat_maximal(((1, 2, 3), (1, 3, 2), (3, 1, 2))) == \
-        {(3, 1, 2)}
+    assert maximal(antichain) == set(antichain)
+    assert maximal(((1, 2, 3), (3, 2, 1))) == {(3, 2, 1)}
+    assert maximal(((1, 2, 3), (1, 3, 2), (3, 1, 2))) == {(3, 1, 2)}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -362,7 +390,7 @@ def test_bruhat_maximal_matches_the_pairwise_reference_on_random_subsets(n):
     group = list(pm.all_perms(n))
     for _ in range(300):
         members = tuple(rng.sample(group, rng.randint(1, min(12, len(group)))))
-        assert dcm._bruhat_maximal(members) == \
+        assert oracles.bruhat_maximal_by_covers(members) == \
             oracles.bruhat_maximal_by_pairs(members)
 
 

@@ -251,6 +251,18 @@ def test_serialization():
     assert "," in pm.format_perm(big)
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_format_perm_matches_the_join(n):
+    """One %-template per degree gives the text that joining str of each
+    value gives, for tuples and lists, permutations and monotone maps."""
+    rng = random.Random(n)
+    values = [pm.identity(n), tuple(range(n, 0, -1)),
+              tuple(rng.randint(1, max(n, 1)) for _ in range(n)),
+              tuple(rng.sample(range(1, 2 * n + 1), n))]
+    for w in values + [list(w) for w in values]:
+        assert pm.format_perm(w) == ("" if n <= 9 else ",").join(map(str, w))
+
+
 @pytest.mark.parametrize("text", [
     "1,+2,3", " 2, 1,3", "1_0,9,8,7,6,5,4,3,2,1", "2,-1", "1,,2", ",1",
     "1,", "1 2", "\u0662\u0661", "2x1"])
