@@ -254,16 +254,19 @@ def union(a: BoolMat, b: BoolMat) -> BoolMat:
 
 
 def transpose(a: BoolMat) -> BoolMat:
+    return from_bits(a.n, _transpose_bits(a.n, a.bits))
+
+
+def _transpose_bits(n: int, x: int) -> int:
     """Row k of the transpose gathers column k, whose bits lie n apart:
     times _spaced(n, n - 1), the bit of row i lands at (n-1)^2 + i, and
     no two of the n^2 partial products share a bit, so none carries."""
-    n, x = a.n, a.bits
     first, gather, mask = _spaced(n, n), _spaced(n, n - 1), (1 << n) - 1
     top = (n - 1) ** 2
     out = 0
     for k in range(n):
         out |= ((x >> k & first) * gather >> top & mask) << (k * n)
-    return from_bits(n, out)
+    return out
 
 
 def _map_pair(a: BoolMat) -> tuple[MonotoneMap, MonotoneMap] | None:

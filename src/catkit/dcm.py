@@ -350,8 +350,10 @@ def is_symmetric(x: BoolMat) -> bool:
 
 
 def self_dual_count(n: int, cap: int = DEFAULT_CAP) -> int:
-    """Number of symmetric elements; equals the n-th Motzkin number."""
-    return sum(1 for x in _capped(n, cap).elements if is_symmetric(x))
+    """Number of symmetric elements; equals the n-th Motzkin number.  The
+    closure's bits are transposed as they are, so no BoolMat is made."""
+    return sum(1 for x in _capped(n, cap).bits
+               if bm._transpose_bits(n, x) == x)
 
 
 def motzkin_number(k: int) -> int:

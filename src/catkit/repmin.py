@@ -17,10 +17,15 @@ basis that depends only on the row space, so reports are reproducible; an
 optional prime modulus reruns the same elimination in characteristic p as
 a spot check (the action matrices are 0/1, so the answers are
 characteristic-free).  The socle never builds a dense matrix: each piece
-is a nullspace on the coordinates its generators fix.
+is a nullspace of sparse kernel rows on the coordinates its generators
+fix, and a depth-first search over the generator subsets skips every
+subset below one whose rows already have full rank.
 
-Effectiveness over a Coxeter system composes column maps along the
-element table, one gather per element; over the double Catalan monoid the
+Effectiveness over a Coxeter system reads one column's image under every
+element at a time, top columns first, and stops once the elements are
+told apart, which the first rank columns do for the sum of reduced
+projectives; element_column_maps, every element's full map by one gather
+each, stays as the reference.  Over the double Catalan monoid the
 generator maps are closed and matched against its own table.
 """
 
@@ -143,11 +148,12 @@ def eigen_split(module: HeckeModule, t: int) -> EigenSplit:
 # ---------------------------------------------------------------------------
 # Sparse elimination, nullspaces, socles.
 
-def _echelon(rows: list[list], p: int | None) -> tuple[list[dict], list[int]]:
+def _echelon(rows: list, p: int | None) -> tuple[list[dict], list[int]]:
     """Row echelon form as sparse rows, pivots increasing.
 
-    Zero rows and repeated rows are dropped first, which leaves the row
-    space unchanged.  The rest are kept as dicts (column to nonzero entry)
+    A row is a sequence of entries, or a dict from column to entry.  Zero
+    rows and repeated rows are dropped first, which leaves the row space
+    unchanged.  The rest are kept as dicts (column to nonzero entry)
     in buckets by leading column.  Column by column, the first row of the
     bucket becomes the pivot row; only the other rows of that bucket, the
     ones with a nonzero entry in the pivot column, are reduced against it
@@ -159,12 +165,16 @@ def _echelon(rows: list[list], p: int | None) -> tuple[list[dict], list[int]]:
     if p is not None and p < 2:
         raise ValueError(f"modulus must be a prime, got {p}")
     buckets: dict[int, list[dict]] = {}
-    for row in dict.fromkeys(map(tuple, rows)):
+    seen = set()
+    for row in rows:
+        pairs = row.items() if isinstance(row, dict) else enumerate(row)
         if p is None:
-            sparse = {c: x for c, x in enumerate(row) if x}
+            sparse = {c: x for c, x in pairs if x}
         else:
-            sparse = {c: x % p for c, x in enumerate(row) if x % p}
-        if sparse:
+            sparse = {c: x % p for c, x in pairs if x % p}
+        key = tuple(sparse.items())
+        if sparse and key not in seen:
+            seen.add(key)
             buckets.setdefault(min(sparse), []).append(sparse)
     ech: list[dict] = []
     pivots: list[int] = []
@@ -199,22 +209,25 @@ def _echelon(rows: list[list], p: int | None) -> tuple[list[dict], list[int]]:
     return ech, pivots
 
 
-def matrix_rank(rows: list[list], p: int | None = None) -> int:
+def matrix_rank(rows: list, p: int | None = None) -> int:
     return len(_echelon(rows, p)[1])
 
 
-def nullspace(rows: list[list], ncols: int, p: int | None = None) -> list[list]:
+def nullspace(rows: list, ncols: int, p: int | None = None) -> list[list]:
     """Canonical nullspace basis, one vector per free column.
 
     The vector of a free column is 1 there and 0 on the other free columns.
     Over the rationals it is scaled to primitive integers with a positive
     leading entry; in characteristic p entries are reduced mod p.  The
-    basis depends only on the row space:
+    basis depends only on the row space, and a sparse row, a dict from
+    column to entry, stands for the dense row it names:
 
     >>> nullspace([[2, 4, -6], [-1, -2, 3]], 3)
     [[2, -1, 0], [3, 0, 1]]
     >>> nullspace([[2, 4, -6], [-1, -2, 3]], 3, p=5)
     [[3, 1, 0], [3, 0, 1]]
+    >>> nullspace([{0: 2, 1: 4, 2: -6}], 3)
+    [[2, -1, 0], [3, 0, 1]]
     """
     ech, pivots = _echelon(rows, p)
     pivot_set = set(pivots)
@@ -252,51 +265,63 @@ SocleReport = dict  # frozenset of generator indices -> list of basis vectors
 def socle(module: HeckeModule, p: int | None = None) -> SocleReport:
     """For each generator subset J, the space of vectors fixed by the
     J-generators and killed by the rest; nonzero pieces assembled into the
-    socle report.
+    socle report, in increasing order of the mask of J.
 
     A generator t acts by an idempotent column map, so its fixed space is
     the coordinate subspace on the points t fixes, and its kernel is cut
     out by one 0/1 row per image point i: the sum of v_j over the j with
-    t(j) = i is 0.  The J-piece is therefore the nullspace of the kernel
-    rows of the t outside J, restricted to S_J, the points fixed by every
-    t in J.  Each coordinate k outside S_J is a pivot of the full system,
-    whose row space holds the unit row e_k, and the pivots inside S_J are
-    those of the restricted rows.  The canonical basis of nullspace
-    depends only on the null space and the column order, so re-embedding
-    the restricted basis gives exactly the vectors of the full system,
-    over the rationals and mod p.
+    t(j) = i is 0, a row held as the set of those j.  The J-piece is
+    therefore the nullspace of the kernel rows of the t outside J,
+    restricted to S_J, the points fixed by every t in J.  Each coordinate
+    k outside S_J is a pivot of the full system, whose row space holds the
+    unit row e_k, and the pivots inside S_J are those of the restricted
+    rows.  The canonical basis of nullspace depends only on the null space
+    and the column order, so re-embedding the restricted basis gives
+    exactly the vectors of the full system, over the rationals and mod p.
+
+    The subsets are searched depth first, deciding the generators in
+    order, into J or out of it.  A node is cut when its support is empty,
+    or when its rows already have full rank on it: every subset below has
+    a smaller support and more rows, so its piece is zero too.  Rows fewer
+    than the support cannot have full rank, so only the other nodes run an
+    elimination.  The trivial summand's point is fixed by every generator:
+
+    >>> a2 = cx.type_a(2)
+    >>> socle(HeckeModule(sys=a2, labels=(0,), action=((0,), (0,))))
+    {frozenset({0, 1}): [[1]]}
     """
     rank, d = module.sys.rank, module.dim
-    fixed = []  # bit j set iff t fixes j
+    fixed, groups = [], []  # per generator: its fixed points, kernel rows
     for colmap in module.action:
         if any(i is not None and colmap[i] != i for i in colmap):
             raise RuntimeError("generator action not idempotent")
-        fixed.append(sum(1 << j for j, i in enumerate(colmap) if i == j))
-    report: SocleReport = {}
-    for mask in range(1 << rank):
-        J = frozenset(s for s in range(rank) if mask >> s & 1)
-        common = (1 << d) - 1
-        for t in J:
-            common &= fixed[t]
-        support = [j for j in range(d) if common >> j & 1]
-        rows = []
-        for t, colmap in enumerate(module.action):
-            if t in J:
-                continue
-            by_image: dict[int, list[int]] = {}
-            for c, j in enumerate(support):
-                i = colmap[j]
-                if i is not None:
-                    by_image.setdefault(i, []).append(c)
-            for cols in by_image.values():
-                row = [0] * len(support)
-                for c in cols:
-                    row[c] = 1
-                rows.append(row)
-        basis = nullspace(rows, len(support), p)
-        if basis:
-            report[J] = [_embed(vec, support, d) for vec in basis]
-    return report
+        fixed.append(frozenset(j for j, i in enumerate(colmap) if i == j))
+        by_image: dict[int, list[int]] = {}
+        for j, i in enumerate(colmap):
+            if i is not None:
+                by_image.setdefault(i, []).append(j)
+        groups.append([frozenset(g) for g in by_image.values()])
+    pieces = []
+
+    def visit(t: int, mask: int, support: frozenset, rows: list) -> None:
+        if not support:
+            return
+        restricted = {r & support for r in rows} - {frozenset()}
+        if t == rank:
+            cols = sorted(support)
+            position = {j: c for c, j in enumerate(cols)}
+            kernel = [{position[j]: 1 for j in r} for r in restricted]
+            basis = nullspace(kernel, len(cols), p)
+            if basis:
+                pieces.append((mask, [_embed(v, cols, d) for v in basis]))
+        elif len(restricted) < len(support) or matrix_rank(
+                [dict.fromkeys(r, 1) for r in restricted], p) < len(support):
+            visit(t + 1, mask, support, rows + groups[t])
+            visit(t + 1, mask | 1 << t, support & fixed[t], rows)
+
+    visit(0, 0, frozenset(range(d)), [])
+    return {frozenset(s for s in range(rank) if mask >> s & 1): basis
+            for mask, basis in sorted(pieces)}
 
 
 def _embed(vec: list, support: list[int], d: int) -> list:
@@ -331,10 +356,60 @@ def element_column_maps(sys: CoxeterSystem,
     return maps
 
 
+def _column_images(steps: list, c: int) -> list[int]:
+    """The image of column c under every element, in table order: steps
+    holds, for each element j > 0, the index u of its word without the
+    first letter a, and the map of a; j = a * u sends c where a sends u's
+    image."""
+    images = [c]
+    append = images.append
+    for u, act in steps:
+        append(act[images[u]])
+    return images
+
+
 def is_effective(sys: CoxeterSystem, module: HeckeModule) -> bool:
-    """Distinct 0-Hecke elements act by distinct matrices."""
-    maps = element_column_maps(sys, module)
-    return len(set(maps)) == sys.order
+    """Distinct 0-Hecke elements act by distinct matrices.
+
+    The elements are told apart one column at a time, each column's image
+    under every element read off in one pass; the answer is True as soon
+    as every element has its own tuple of images, and False when the
+    columns run out.  Distinct partial images imply distinct maps, and all
+    columns are the full comparison, so this is exact for any action.
+    The closure words are numbered by (length, word), so an element's word
+    without its first letter is the word of an earlier element, and the
+    images are those of element_column_maps.
+
+    The top columns, which no generator sends another column to, come
+    first, then the rest in index order.  In a sum of reduced projectives
+    the top of each summand is the identity coset w0_J, whose image under
+    w is the longest element of the coset w W_J; the maximal parabolics
+    meet in the identity, so the first rank columns already separate.
+
+    >>> a2 = cx.type_a(2)
+    >>> parts = [drop_trivial_summand(projective_module(a2, s))[0]
+    ...          for s in range(a2.rank)]
+    >>> is_effective(a2, direct_sum(parts)), is_effective(a2, parts[0])
+    (True, False)
+    """
+    d, n = module.dim, sys.order
+    act = [[d if i is None else i for i in colmap] + [d]
+           for colmap in module.action]
+    suffix = [0] * n  # the element of each word without its first letter
+    for j in range(1, n):
+        word = sys.words[j]
+        if len(word) > 1:
+            suffix[j] = sys.right[suffix[sys.parent[j]]][word[-1]]
+    steps = [(u, act[word[0]]) for u, word in zip(suffix[1:], sys.words[1:])]
+    hit = {i for colmap in module.action
+           for j, i in enumerate(colmap) if i is not None and i != j}
+    keys = [0] * n  # the images read so far, as digits in base d + 1
+    for c in [c for c in range(d) if c not in hit] + sorted(hit):
+        keys = [k * (d + 1) + i
+                for k, i in zip(keys, _column_images(steps, c))]
+        if len(set(keys)) == n:
+            return True
+    return len(set(keys)) == n
 
 
 def simple_socle_check(sys: CoxeterSystem, s: int,

@@ -251,6 +251,19 @@ def test_dcm_count_wraps_no_matrix(capsys, monkeypatch):
     assert len(fresh(8).elements) == len(calls) == 15767
 
 
+def test_dcm_self_dual_wraps_no_matrix(capsys, monkeypatch):
+    """dcm self-dual transposes the closure's bits as they are."""
+    calls = []
+    from_bits = bm.from_bits
+    monkeypatch.setattr(bm, "from_bits",
+                        lambda n, x: calls.append(x) or from_bits(n, x))
+    fresh = functools.lru_cache(maxsize=None)(dcm.dc_monoid.__wrapped__)
+    monkeypatch.setattr(dcm, "dc_monoid", fresh)
+    _, report = run_cli(capsys, "dcm", "--n", "8", "self-dual")
+    assert report["result"] == {"self_dual": 323, "motzkin": 323}
+    assert calls == []
+
+
 def test_dcm_count_at_degree_nine():
     """DC_9 has 94,359 elements (A005802), beyond the default cap; its own
     interpreter, so the cached table does not stay with the test session."""

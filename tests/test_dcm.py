@@ -463,6 +463,15 @@ def test_self_dual_counts(n, count):
     assert pm.count_avoiding_involutions(n, (4, 3, 2, 1)) == count
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_self_dual_count_matches_is_symmetric(n):
+    """The count transposes bits; is_symmetric compares BoolMats."""
+    table = dcm.dc_monoid(n)
+    symmetric = [dcm.is_symmetric(x) for x in table.elements]
+    assert [bm._transpose_bits(n, x) == x for x in table.bits] == symmetric
+    assert dcm.self_dual_count(n) == sum(symmetric)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_self_dual_bijection_with_avoiding_involutions(n):
     symmetric = [x for x in dcm.dc_monoid(n).elements if dcm.is_symmetric(x)]

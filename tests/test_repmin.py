@@ -368,12 +368,23 @@ def _projectives(sys):
     return out
 
 
+def _sums(modules):
+    """The sum of the reduced projectives and the sum of all of them."""
+    return [rm.direct_sum(modules[1::2]), rm.direct_sum(modules)]
+
+
 @pytest.mark.parametrize("type_string", SYSTEMS)
 def test_socle_matches_the_dense_row_reference(type_string):
+    """Also on the sums, which have several nonzero pieces; the pieces
+    come in increasing mask order, the order of the report's bases."""
     sys = cx.from_type_string(type_string)
-    for module in _projectives(sys):
+    modules = _projectives(sys)
+    for module in modules + _sums(modules):
         for p in (None, 2, 3, 7):
-            assert rm.socle(module, p) == oracles.socle_by_dense_rows(module, p)
+            report = rm.socle(module, p)
+            want = oracles.socle_by_dense_rows(module, p)
+            assert report == want
+            assert list(report) == list(want)
 
 
 def _with_sentinel(colmap, d):
@@ -384,8 +395,7 @@ def _with_sentinel(colmap, d):
 def test_element_maps_match_the_fold(type_string):
     sys = cx.from_type_string(type_string)
     modules = _projectives(sys)
-    sums = [rm.direct_sum(modules[1::2]), rm.direct_sum(modules)]
-    for module in modules + sums:
+    for module in modules + _sums(modules):
         want = [_with_sentinel(m, module.dim)
                 for m in oracles.element_column_maps_by_fold(sys, module)]
         assert rm.element_column_maps(sys, module) == want
@@ -397,6 +407,74 @@ def test_element_maps_of_a_zero_dimensional_module():
     module = rm.HeckeModule(sys=a1, labels=(), action=((),))
     assert rm.element_column_maps(a1, module) == [(0,), (0,)]
     assert not rm.is_effective(a1, module)
+    assert not _effective_by_full_maps(a1, module)
+
+
+def _effective_by_full_maps(sys, module):
+    return len(set(rm.element_column_maps(sys, module))) == sys.order
+
+
+@pytest.mark.parametrize("type_string", SYSTEMS)
+def test_is_effective_matches_the_full_maps(type_string):
+    """Every projective, reduced projective, both sums and the trivial
+    summand; a single projective is not effective beyond rank one, so
+    its columns run out."""
+    sys = cx.from_type_string(type_string)
+    modules = _projectives(sys)
+    trivial = rm.drop_trivial_summand(modules[0])[1]
+    cases = modules + _sums(modules) + [trivial]
+    got = [rm.is_effective(sys, module) for module in cases]
+    assert got == [_effective_by_full_maps(sys, module) for module in cases]
+    assert got == [sys.rank == 1] * len(modules) + [True, True, False]
+
+
+def test_is_effective_on_actions_that_are_not_modules():
+    """Column maps that break the module axioms are still judged by their
+    full maps.  The A2 action breaks the braid relation; its only top
+    column, 2, leaves elements together, so only the columns after the
+    tops tell them apart.  The A3 sum of the end projectives is DC_4's
+    module, not effective for A3, also with one generator entry wrong."""
+    a2 = cx.type_a(2)
+    braidless = rm.HeckeModule(sys=a2, labels=(0, 1, 2),
+                               action=((None, 1, 1), (0, 0, 2)))
+    maps = rm.element_column_maps(a2, braidless)
+    assert len({m[2] for m in maps}) < a2.order
+    assert rm.is_effective(a2, braidless)
+    assert _effective_by_full_maps(a2, braidless)
+    a3 = cx.type_a(3)
+    ends = rm.direct_sum([
+        rm.drop_trivial_summand(rm.projective_module(a3, s))[0]
+        for s in (0, 2)])
+    wrong = ends._replace(action=((2,) + ends.action[0][1:],)
+                          + ends.action[1:])
+    for module in (ends, wrong):
+        assert not rm.is_effective(a3, module)
+        assert not _effective_by_full_maps(a3, module)
+
+
+MIN_DIM_SYSTEMS = ([f"A{k}" for k in range(1, 7)]
+                   + [f"B{k}" for k in range(2, 5)]
+                   + [f"I2:{m}" for m in range(3, 9)])
+
+
+@pytest.mark.parametrize("type_string", MIN_DIM_SYSTEMS)
+def test_a_min_dim_sum_is_told_apart_by_its_tops(type_string, monkeypatch):
+    """The certificate reads exactly rank columns: the identity cosets
+    w0_J of the summands, whose images are the cosets of the maximal
+    parabolics."""
+    sys = cx.from_type_string(type_string)
+    total = rm.direct_sum([
+        rm.drop_trivial_summand(rm.projective_module(sys, s))[0]
+        for s in range(sys.rank)])
+    read = []
+    column_images = rm._column_images
+    monkeypatch.setattr(rm, "_column_images",
+                        lambda steps, c: read.append(c)
+                        or column_images(steps, c))
+    assert rm.is_effective(sys, total)
+    every = frozenset(range(sys.rank))
+    assert [total.labels[c][1] for c in read] == [
+        cx.parabolic(sys, every - {s}).longest for s in range(sys.rank)]
 
 
 def test_socle_refuses_a_non_idempotent_action():
