@@ -314,13 +314,19 @@ def coset_action(sys: CoxeterSystem, J: frozenset[int] | set[int]) -> list[Carri
     return out
 
 
-def vertex_count(sys: CoxeterSystem) -> int:
-    """Sum of the indices of the maximal parabolic subgroups."""
-    total = 0
-    for s in range(sys.rank):
-        J = frozenset(range(sys.rank)) - {s}
-        total += sys.order // len(parabolic(sys, J).members)
-    return total
+def maximal_parabolics(sys: CoxeterSystem) -> tuple[Parabolic, ...]:
+    """The parabolic on every generator but s, for each generator s."""
+    every = frozenset(range(sys.rank))
+    return tuple(parabolic(sys, every - {s}) for s in range(sys.rank))
+
+
+def vertex_count(sys: CoxeterSystem,
+                 paras: tuple[Parabolic, ...] | None = None) -> int:
+    """Sum of the indices of the maximal parabolic subgroups, read from
+    paras, the maximal_parabolics(sys), when they are given."""
+    if paras is None:
+        paras = maximal_parabolics(sys)
+    return sum(sys.order // len(para.members) for para in paras)
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +335,19 @@ def vertex_count(sys: CoxeterSystem) -> int:
 def folding_action(sys: CoxeterSystem,
                    para: Parabolic) -> tuple[tuple[int, ...], ...]:
     """For each generator, its left folding of the longest coset
-    representatives, as a map of their positions in para.max_reps."""
+    representatives, as a map of their positions in para.max_reps.  Each
+    s w is the product of s and w along w's word, so no left table of the
+    whole group is built."""
     position = {w: k for k, w in enumerate(para.max_reps)}
-    return tuple(tuple(position[e_mul(sys, s, w, side="left")]
-                       for w in para.max_reps)
-                 for s in range(sys.rank))
+    length = sys.length
+    action = []
+    for g in sys.gens:
+        row = []
+        for w in para.max_reps:
+            sw = sys.product(g, w)
+            row.append(position[sw if length[sw] > length[w] else w])
+        action.append(tuple(row))
+    return tuple(action)
 
 
 def catalan_quotient(sys: CoxeterSystem,

@@ -53,14 +53,16 @@ class HeckeModule(NamedTuple):
         return len(self.labels)
 
 
-def projective_module(sys: CoxeterSystem, s: int) -> HeckeModule:
+def projective_module(sys: CoxeterSystem, s: int,
+                      para: cx.Parabolic | None = None) -> HeckeModule:
     """The left ideal of the idempotent complementary to s, as a module.
 
-    Basis: longest coset representatives modulo the parabolic on the other
-    generators; dimension is the index of that parabolic.
+    Basis: longest coset representatives modulo para, the parabolic on the
+    other generators, built here when not given; dimension is the index of
+    that parabolic.
     """
-    J = frozenset(range(sys.rank)) - {s}
-    para = cx.parabolic(sys, J)
+    if para is None:
+        para = cx.parabolic(sys, frozenset(range(sys.rank)) - {s})
     return HeckeModule(sys=sys, labels=para.max_reps,
                        action=cx.folding_action(sys, para))
 
@@ -412,15 +414,16 @@ def is_effective(sys: CoxeterSystem, module: HeckeModule) -> bool:
     return len(set(keys)) == n
 
 
-def simple_socle_check(sys: CoxeterSystem, s: int,
-                       p: int | None = None) -> dict:
+def simple_socle_check(sys: CoxeterSystem, s: int, p: int | None = None,
+                       para: cx.Parabolic | None = None) -> dict:
     """Verify the reduced projective of s has the predicted simple socle.
 
     Expected: one-dimensional, spanned by (longest * s) - longest, of type
     indexed by the complement of the conjugated generator.  The reduced
-    projective itself is returned under "module".
+    projective itself is returned under "module".  para is passed on to
+    projective_module.
     """
-    reduced, _ = drop_trivial_summand(projective_module(sys, s))
+    reduced, _ = drop_trivial_summand(projective_module(sys, s, para))
     report = socle(reduced, p)
     w0 = sys.longest
     w0s = sys.right[w0][s]
@@ -450,11 +453,14 @@ def min_dim_report(sys: CoxeterSystem, p: int | None = None) -> dict:
     claimed: vertex count minus rank; the construction must hit exactly
     that dimension, act effectively, and have all the predicted socles.
     "socles" holds each generator's socle check, with its basis vectors.
+    The maximal parabolics are built once, for the projectives and for the
+    vertex count.
     """
+    paras = cx.maximal_parabolics(sys)
     reduced_modules = []
     socles = {}
-    for s in range(sys.rank):
-        check = simple_socle_check(sys, s, p)
+    for s, para in enumerate(paras):
+        check = simple_socle_check(sys, s, p, para)
         reduced_modules.append(check["module"])
         socles[f"s{s + 1}"] = {
             "dimension": check["dimension"],
@@ -465,7 +471,7 @@ def min_dim_report(sys: CoxeterSystem, p: int | None = None) -> dict:
                       for vec in vecs],
         }
     total = direct_sum(reduced_modules)
-    claimed = cx.vertex_count(sys) - sys.rank
+    claimed = cx.vertex_count(sys, paras) - sys.rank
     return {
         "type": sys.name,
         "claimed": claimed,

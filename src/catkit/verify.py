@@ -12,10 +12,10 @@ failing run can be reproduced from its JSON serialization alone.
 from __future__ import annotations
 
 import random
-from functools import partial
+from functools import cache, partial
 from math import comb, factorial
 from operator import ge, le
-from typing import Callable, Hashable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
 
 from . import boolmat as bm
 from . import coxeter as cx
@@ -190,7 +190,12 @@ def check_convex_monoid_iso(n_max: int, rng: random.Random) -> CheckResult:
     The samples run in blocks of at most _BLOCK: a block makes and reads
     its draws in sample order, then one bm.mul_union_lanes call takes all
     of its products and unions, each matrix in its own lane of one
-    integer.  Each product and union is read through a memo of
+    integer.  A block's draws come from one _draw_convex call, which
+    decodes the generator's 32-bit words in bulk, up to _WORDS per
+    getrandbits call, through a state table of the maps' prefixes.  It
+    asks for no word that rng.randint, drawing one value at a time, would
+    not read, so the draws, and the generator's state after them, are
+    randint's.  Each product and union is read through a memo of
     bm._map_pair by its bits, one per degree, and compose_map(f, g) is one
     memoised gather per map g.  The memos share one copy of each of the
     2 Cat(n) maps of a degree.
@@ -248,13 +253,10 @@ def check_convex_monoid_iso(n_max: int, rng: random.Random) -> CheckResult:
         drawn = {}  # (alpha, beta) -> (its fill, the pair itself or None)
         pair_of = _pair_memo(n, maps)
         for start in range(0, 10_000, _BLOCK):
-            draws = []
-            for _ in range(min(_BLOCK, 10_000 - start)):
-                key_a = _random_convex(n, rng)
-                key_b = _random_convex(n, rng)
-                a = drawn.get(key_a) or _read_draw(drawn, key_a, maps)
-                b = drawn.get(key_b) or _read_draw(drawn, key_b, maps)
-                draws.append(a + b)
+            read = [drawn.get(key) or _read_draw(drawn, key, maps)
+                    for key in _draw_convex(
+                        n, rng, 2 * min(_BLOCK, 10_000 - start))]
+            draws = [a + b for a, b in zip(read[0::2], read[1::2])]
             products, unions = bm.mul_union_lanes(
                 n, [a.bits for a, _, _, _ in draws],
                 [b.bits for _, _, b, _ in draws])
@@ -282,6 +284,7 @@ def check_convex_monoid_iso(n_max: int, rng: random.Random) -> CheckResult:
 
 
 _BLOCK = 1024  # samples per lane block, bounding what one block holds
+_WORDS = 1024  # the most words one getrandbits call of a draw reads
 
 
 class _Memo(dict):
@@ -318,40 +321,104 @@ def _kept(maps: dict, pair: tuple) -> tuple:
     return maps.setdefault(alpha, alpha), maps.setdefault(beta, beta)
 
 
-def _random_convex(n: int, rng: random.Random) -> tuple[tuple, tuple]:
-    """A seeded (max, min) pair of a convex relation of degree n.
-
-    Each value is uniform over the ones that keep the maps monotone,
-    alpha(i) in [max(alpha(i-1), i), n] and beta(i) in [beta(i-1), i],
-    drawn as rng.randint draws it: r = getrandbits(k), k the bit length
-    of the width, redrawn until r < width.  A width of 1 still takes one
-    getrandbits(1).  So the draws, and the generator's state after them,
-    are those of rng.randint(lo, hi), without the Python-level calls
-    through randrange that randint makes for each value.
-    """
-    bits = rng.getrandbits
-    alpha = []
-    prev = 1
-    for i in range(1, n + 1):
+def _next_range(n: int, side: int, prefix: tuple) -> tuple[int, int]:
+    """(lo, width) of the value after prefix: alpha(i) in
+    [max(alpha(i-1), i), n] on side 0, beta(i) in [beta(i-1), i] on side 1,
+    with alpha(0) = beta(0) = 1."""
+    i = len(prefix) + 1
+    prev = prefix[-1] if prefix else 1
+    if side == 0:
         lo = prev if prev > i else i
-        width = n - lo + 1
-        k = width.bit_length()
-        r = bits(k)
-        while r >= width:
-            r = bits(k)
-        prev = lo + r
-        alpha.append(prev)
-    beta = []
-    prev = 1
-    for i in range(1, n + 1):
-        width = i - prev + 1
-        k = width.bit_length()
-        r = bits(k)
-        while r >= width:
-            r = bits(k)
-        prev += r
-        beta.append(prev)
-    return tuple(alpha), tuple(beta)
+        return lo, n - lo + 1
+    return prev, i - prev + 1
+
+
+class _Decoder(NamedTuple):
+    """The state table by which _draw_convex decodes degree-n draws."""
+    top: bytes              # a word's top byte -> its symbol
+    step: list[int]         # step[state | symbol]: the next state or map
+    done: int               # codes >= done are finished maps
+    beta: int               # the state of an empty beta
+    beta_done: int          # codes >= beta_done are finished betas
+    depth: dict[int, int]   # state -> the values accepted in it
+    maps: dict[int, tuple]  # finished map -> the map
+
+
+@cache
+def _decoder(n: int) -> _Decoder:
+    """The decoder of degree n, 1 <= n < 256.  A symbol is the top
+    n.bit_length() bits of a word.  The states are the partial prefixes of
+    alpha, then those of beta, the t-th coded t << n.bit_length(); the
+    finished maps are coded from done on, the alphas first."""
+    shift = n.bit_length()
+    states, finished = [], []
+    for side in (0, 1):
+        level = [()]
+        while len(level[0]) < n:
+            states += [(side, p) for p in level]
+            grown = []
+            for p in level:
+                lo, width = _next_range(n, side, p)
+                grown += [p + (v,) for v in range(lo, lo + width)]
+            level = grown
+        finished += [(side, p) for p in level]
+    code = {s: t << shift for t, s in enumerate(states)}
+    done = len(states) << shift
+    code.update((s, done + j) for j, s in enumerate(finished))
+    step = []
+    for side, p in states:
+        lo, width = _next_range(n, side, p)
+        cut = shift - width.bit_length()  # symbol >> cut is the value's r
+        step += [code[side, p + (lo + (x >> cut),)] if x >> cut < width
+                 else code[side, p] for x in range(1 << shift)]
+    return _Decoder(top=bytes(b >> (8 - shift) for b in range(256)),
+                    step=step, done=done, beta=code[1, ()],
+                    beta_done=done + sum(1 for s in finished if s[0] == 0),
+                    depth={code[s]: len(s[1]) for s in states},
+                    maps={code[s]: s[1] for s in finished})
+
+
+def _draw_convex(n: int, rng: random.Random,
+                 count: int) -> Iterator[tuple[tuple, tuple]]:
+    """count seeded (max, min) pairs of convex relations of degree n: the
+    pairs, in order, that rng.randint makes drawing one value at a time,
+    with rng left in the state that those draws leave it in.
+
+    Each value is uniform over the ones that keep the maps monotone, drawn
+    as randint draws it: r = getrandbits(k), k the bit length of the width,
+    redrawn until r < width (a width of 1 still takes one draw).  For
+    k <= 32, getrandbits(k) is the top k bits of one 32-bit Mersenne
+    Twister word, and getrandbits(32 m) is the next m words, the first in
+    the lowest 32 bits, on either byte order.  So one call, its
+    little-endian bytes and [3::4].translate(top) turn m words into m
+    symbols in C, each symbol the top n.bit_length() bits of its word, of
+    which r is the top k.  The Python loop then takes one step per symbol:
+    step[state | symbol] is the next prefix, the same state for a redrawn
+    value, or a code >= done for a finished map, after which the other
+    map starts.
+
+    Each call asks only for a lower bound on the words still to be read:
+    n for each map not finished, less the values already accepted in the
+    one being decoded, since every value reads at least one word, and at
+    most _WORDS, which bounds the call's buffers.  So every word asked for
+    is decoded, and the generator stops exactly at the last word that the
+    value-by-value draws read.
+    """
+    top, step, done, beta, beta_done, depth, maps = _decoder(n)
+    ends = []  # finished maps, alpha and beta by turns
+    s = 0
+    need = 2 * n * count
+    while need:
+        words = min(need, _WORDS)
+        for x in rng.getrandbits(32 * words).to_bytes(
+                4 * words, "little")[3::4].translate(top):
+            s = step[s | x]
+            if s >= done:
+                ends.append(s)
+                s = beta if s < beta_done else 0
+        need = n * (2 * count - len(ends)) - depth[s]
+    ends = map(maps.__getitem__, ends)
+    return zip(ends, ends)
 
 
 def _read_draw(drawn: dict, key: tuple,

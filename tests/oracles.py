@@ -352,8 +352,8 @@ def random_convex_by_randint(n: int, rng: random.Random) -> tuple[tuple, tuple]:
 
 # ---------------------------------------------------------------------------
 # Coxeter tables, group products and Catalan quotients by composing tuples,
-# parabolics by scanning words, double Catalan quotients by matrix
-# products, and Bruhat order by descent sets.
+# parabolics by scanning words, foldings by the left table, double Catalan
+# quotients by matrix products, and Bruhat order by descent sets.
 
 def coxeter_tables_by_compose(gens) -> dict:
     """The closure of gens under cx._compose, one generator expression per
@@ -384,6 +384,16 @@ def parabolic_by_word_scan(sys: cx.CoxeterSystem, J) -> cx.Parabolic:
                      if all(length[right[i][s]] < length[i] for s in J))
     return cx.Parabolic(J=J, members=members, longest=members[-1],
                         max_reps=max_reps)
+
+
+def folding_action_by_left_table(sys: cx.CoxeterSystem,
+                                 para: cx.Parabolic) -> tuple:
+    """The folding of the longest coset representatives by each generator,
+    read from the whole left table of the group through cx.e_mul."""
+    position = {w: k for k, w in enumerate(para.max_reps)}
+    return tuple(tuple(position[cx.e_mul(sys, s, w, side="left")]
+                       for w in para.max_reps)
+                 for s in range(sys.rank))
 
 
 def catalan_quotient_by_compose(sys: cx.CoxeterSystem, J) -> MonoidTable:

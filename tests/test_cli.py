@@ -16,7 +16,7 @@ from catkit import boolmat as bm
 from catkit import dcm
 from catkit import dyck
 from catkit.cli import _entries, _IntTexts, _is_prime, _write_json, main
-from catkit.monoid import IntRows
+from catkit.monoid import IntRows, MonoidTable
 
 
 def _cli_env():
@@ -261,6 +261,18 @@ def test_dcm_self_dual_wraps_no_matrix(capsys, monkeypatch):
     monkeypatch.setattr(dcm, "dc_monoid", fresh)
     _, report = run_cli(capsys, "dcm", "--n", "8", "self-dual")
     assert report["result"] == {"self_dual": 323, "motzkin": 323}
+    assert calls == []
+
+
+def test_repmin_type_builds_no_left_table(capsys, monkeypatch):
+    """The projectives fold their coset representatives along words, so no
+    left table of the group is built."""
+    calls = []
+    left_table = MonoidTable.left_table
+    monkeypatch.setattr(MonoidTable, "left_table",
+                        lambda self: calls.append(self) or left_table(self))
+    _, report = run_cli(capsys, "repmin", "--type", "A6")
+    assert report["result"]["claimed"] == 120
     assert calls == []
 
 

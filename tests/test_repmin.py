@@ -387,6 +387,17 @@ def test_socle_matches_the_dense_row_reference(type_string):
             assert list(report) == list(want)
 
 
+@pytest.mark.parametrize("type_string", SYSTEMS)
+def test_folding_action_matches_the_left_table(type_string):
+    """On every parabolic, not only the maximal ones."""
+    sys = cx.from_type_string(type_string)
+    for mask in range(1 << sys.rank):
+        para = cx.parabolic(
+            sys, frozenset(s for s in range(sys.rank) if mask >> s & 1))
+        assert (cx.folding_action(sys, para)
+                == oracles.folding_action_by_left_table(sys, para))
+
+
 def _with_sentinel(colmap, d):
     return tuple(d if v is None else v for v in colmap) + (d,)
 
@@ -475,6 +486,21 @@ def test_a_min_dim_sum_is_told_apart_by_its_tops(type_string, monkeypatch):
     every = frozenset(range(sys.rank))
     assert [total.labels[c][1] for c in read] == [
         cx.parabolic(sys, every - {s}).longest for s in range(sys.rank)]
+
+
+@pytest.mark.parametrize("type_string", MIN_DIM_SYSTEMS)
+def test_min_dim_report_builds_each_maximal_parabolic_once(
+        type_string, monkeypatch):
+    """The projectives and the vertex count share the rank parabolics."""
+    sys = cx.from_type_string(type_string)
+    built = []
+    parabolic = cx.parabolic
+    monkeypatch.setattr(cx, "parabolic",
+                        lambda sys, J: built.append(J) or parabolic(sys, J))
+    report = rm.min_dim_report(sys)
+    every = frozenset(range(sys.rank))
+    assert built == [every - {s} for s in range(sys.rank)]
+    assert report["claimed"] == report["constructed_dim"]
 
 
 def test_socle_refuses_a_non_idempotent_action():

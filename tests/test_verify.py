@@ -2,6 +2,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catkit import boolmat as bm
 from catkit import dyck
@@ -124,8 +126,8 @@ def test_convex_monoid_iso_records_a_bad_draw(monkeypatch):
     assert result.counterexample == {
         "n": 5, "a": ["00000"] * 5, "b": ["00000"] * 5,
         "reason": "a draw is not convex or fails its round trip"}
-    monkeypatch.setattr(verify, "_random_convex",
-                        lambda n, rng: ((2, 1, 5, 5, 5), (1,) * 5))
+    monkeypatch.setattr(verify, "_draw_convex", lambda n, rng, count: (
+        [((2, 1, 5, 5, 5), (1,) * 5)] * count))
     result = verify.check_convex_monoid_iso(5, random.Random(0))
     assert result.passed is False
     assert result.counterexample == {
@@ -165,8 +167,8 @@ def test_convex_monoid_iso_reports_the_sequential_first_failure(
     draws maps a draw's index (sample s draws 2s and 2s + 1) to its
     (alpha, beta); the rest are the identity."""
     index = iter(range(1 << 20))
-    monkeypatch.setattr(verify, "_random_convex",
-                        lambda n, rng: draws.get(next(index), _IDENTITY))
+    monkeypatch.setattr(verify, "_draw_convex", lambda n, rng, count: [
+        draws.get(next(index), _IDENTITY) for _ in range(count)])
     fill = verify.bm._interval_fill
     monkeypatch.setattr(verify.bm, "_interval_fill", lambda alpha, beta: (
         bm.BoolMat(5, (0,) * 5) if (alpha, beta) == _EMPTY
@@ -226,17 +228,40 @@ def test_convex_monoid_iso_keeps_its_draw_stream():
     assert rng.getrandbits(64) == random.Random(0).getrandbits(64)
 
 
-@pytest.mark.parametrize("n", [5, 6])
+def _both_draws(n: int, seed: int, count: int) -> list:
+    """count draws of degree n by the block drawer and by rng.randint per
+    value, each with the next 64 bits of its generator."""
+    routes = []
+    for draw in (lambda rng: list(verify._draw_convex(n, rng, count)),
+                 lambda rng: [random_convex_by_randint(n, rng)
+                              for _ in range(count)]):
+        rng = random.Random(seed)
+        routes.append((draw(rng), rng.getrandbits(64)))
+    return routes
+
+
+# one more count per seed: one or two draws, odd counts, and counts about
+# a block's 2 * _BLOCK draws and about _WORDS words
+_EDGE_COUNTS = (1, 2, 3, 7, 511, 1023, 1024, 2047, 2048, 2049)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("seed", range(10))
 def test_random_convex_keeps_the_randint_stream(seed, n):
-    """The sampler's getrandbits draws are rng.randint's: the same pairs,
-    and the generator in the same state after them."""
-    routes = []
-    for sampler in (verify._random_convex, random_convex_by_randint):
-        rng = random.Random(seed)
-        pairs = [sampler(n, rng) for _ in range(500)]
-        routes.append((pairs, rng.getrandbits(64)))
-    assert routes[0] == routes[1]
+    """The block drawer's draws are rng.randint's: the same pairs, and the
+    generator in the same state after them, at every degree to 8."""
+    for count in (500, _EDGE_COUNTS[seed]):
+        drawn, by_randint = _both_draws(n, seed, count)
+        assert drawn == by_randint
+        assert len(drawn[0]) == count
+
+
+@given(st.integers(0, 2 ** 64), st.integers(0, 300), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_block_drawer_matches_randint_on_any_seed(seed, count, n):
+    """Any seed and count, at every degree to 8."""
+    drawn, by_randint = _both_draws(n, seed, count)
+    assert drawn == by_randint
 
 
 @pytest.mark.parametrize("below", [
@@ -275,8 +300,8 @@ def test_sample_memos_match_fresh_reads(seed, n):
     composers = verify._Memo(verify._composer)
     maps = {}
     pair_of = verify._pair_memo(n, maps)
-    draws = [bm.from_map_pair(*verify._random_convex(n, rng))
-             for _ in range(400)]
+    draws = [bm.from_map_pair(*key)
+             for key in verify._draw_convex(n, rng, 400)]
     for a, b in zip(draws[::2], draws[1::2]):
         pa, pb = bm.to_map_pair(a), bm.to_map_pair(b)
         for f, g in zip(pa, pb):
