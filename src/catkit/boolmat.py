@@ -18,14 +18,16 @@ fill.  Both directions of that isomorphism live here.
 
 mul_union_lanes multiplies a whole block of pairs at once: each matrix
 of degree n <= 8 sits in its own 32- or 64-bit lane of one integer, and
-the n steps of the product run on all lanes together.
+the n steps of the product run on all lanes together.  _column_or_lanes
+takes the generator step of a whole block of matrices of any degree at
+once, each in a lane of whole 64-bit words.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .monoid import MonoidTable, generate_monoid
 from .permutations import (MonotoneMap, Perm, is_nondecreasing_map,
@@ -204,6 +206,50 @@ def _column_or(n: int,
         upper, lower = masks[key]
         return x | (x & upper) >> 1 | (x & lower) << 1
     return step
+
+
+def _lane_bytes(n: int) -> int:
+    """The bytes of one lane of degree n: n^2 bits in whole 64-bit words,
+    one word up to degree 8 and more from degree 9."""
+    return 8 * max(1, -(-n * n // 64))
+
+
+def _column_or_lanes(n: int, count: int, x: int) -> Iterator[int]:
+    """The lane form of _column_or, for i = 1..n-1 in turn: x holds count
+    degree-n matrices, lane t of x.to_bytes(_lane_bytes(n) * count,
+    "little") holding the bits of one, and the i-th integer yielded holds,
+    lane by lane, each of them times I + the transposition of columns i
+    and i+1.
+
+    _column_or's step, x | (x & C_i) >> 1 | (x & C_(i-1)) << 1, is
+    x | (x >> 1) & C_(i-1) | (x << 1) & C_i, so the two shifts of x serve
+    every i.  The masks hold C_(i-1) and C_i in every lane, 1 <= i <= n-1.
+    A shift by one takes column 0 of a row, or bit 0 of a lane, into
+    column n-1 or the top bit of the lane below, and column n-1 or a top
+    bit into column 0 above, none of them under its mask, so no bit
+    leaves its lane.
+
+    >>> width = _lane_bytes(9)  # 81 bits: two 64-bit words a lane
+    >>> a = from_row_strings(["1" * 9] * 9).bits  # all ones: a fixed point
+    >>> b = identity_mat(9).bits
+    >>> x = int.from_bytes(a.to_bytes(width, "little")
+    ...                    + b.to_bytes(width, "little"), "little")
+    >>> *_, y = _column_or_lanes(9, 2, x)  # the last, i = 8
+    >>> y = y.to_bytes(2 * width, "little")
+    >>> step = _column_or(9, range(1, 9))
+    >>> int.from_bytes(y[:width], "little") == step(a, 8) == a
+    True
+    >>> int.from_bytes(y[width:], "little") == step(b, 8) != b
+    True
+    """
+    lanes = int.from_bytes((b"\x01" + bytes(_lane_bytes(n) - 1)) * count,
+                           "little")
+    lower = _spaced(n, n) * lanes  # C_0 in every lane
+    down, up = x >> 1, x << 1
+    for _ in range(1, n):
+        upper = lower << 1
+        yield x | down & lower | up & upper
+        lower = upper
 
 
 class MatrixTable(MonoidTable):

@@ -361,7 +361,7 @@ def _cmd_dcm(args) -> int:
             "convex": report.convex,
         }, args)
     elif action == "count":
-        _emit({"size": len(dcm.dc_monoid(n, _cap(args)))}, args)
+        _emit({"size": dcm.dc_size(n, _cap(args))}, args)
     elif action == "self-dual":
         _emit({"self_dual": dcm.self_dual_count(n, _cap(args)),
                "motzkin": dcm.motzkin_number(n)}, args)

@@ -264,12 +264,18 @@ def parabolic(sys: CoxeterSystem, J: frozenset[int] | set[int]) -> Parabolic:
     # (Björner and Brenti, Combinatorics of Coxeter Groups, Prop. 2.4.4).
     member_tuple = tuple(i for i, m in enumerate(sys.support_mask)
                          if m | mask == mask)
-    longest = member_tuple[-1]
     max_reps = tuple(i for i, m in enumerate(sys.descent_mask)
                      if m & mask == mask)
-    if len(max_reps) * len(member_tuple) != sys.order:
+    return _checked(sys, J, member_tuple, max_reps)
+
+
+def _checked(sys: CoxeterSystem, J: frozenset[int], members: tuple[int, ...],
+             max_reps: tuple[int, ...]) -> Parabolic:
+    """The parabolic on J with these members and longest coset
+    representatives, both in table order, which must number one per coset."""
+    if len(max_reps) * len(members) != sys.order:
         raise RuntimeError("coset representative count inconsistent")
-    return Parabolic(J=J, members=member_tuple, longest=longest,
+    return Parabolic(J=J, members=members, longest=members[-1],
                      max_reps=max_reps)
 
 
@@ -315,9 +321,37 @@ def coset_action(sys: CoxeterSystem, J: frozenset[int] | set[int]) -> list[Carri
 
 
 def maximal_parabolics(sys: CoxeterSystem) -> tuple[Parabolic, ...]:
-    """The parabolic on every generator but s, for each generator s."""
-    every = frozenset(range(sys.rank))
-    return tuple(parabolic(sys, every - {s}) for s in range(sys.rank))
+    """The parabolic on every generator but s, for each generator s, as
+    parabolic makes them, from one pass over the support and descent masks.
+
+    An element lies in the parabolic of s when s is missing from its
+    support, and is a longest coset representative for it when its right
+    descents hold every generator but s: all of them, for every s, or all
+    but s itself.
+    """
+    rank = sys.rank
+    every = (1 << rank) - 1
+    members: list[list[int]] = [[] for _ in range(rank)]
+    max_reps: list[list[int]] = [[] for _ in range(rank)]
+    # the generators a mask lacks, for the masks met so far
+    absent: dict[int, tuple[int, ...]] = {}
+    # the s whose representatives a descent mask makes
+    reps_of = {every ^ 1 << s: (s,) for s in range(rank)}
+    reps_of[every] = tuple(range(rank))
+    for i, (support, descents) in enumerate(zip(sys.support_mask,
+                                                sys.descent_mask)):
+        if support != every:
+            gone = absent.get(support)
+            if gone is None:
+                gone = absent[support] = tuple(
+                    s for s in range(rank) if not support >> s & 1)
+            for s in gone:
+                members[s].append(i)
+        for s in reps_of.get(descents, ()):
+            max_reps[s].append(i)
+    return tuple(_checked(sys, frozenset(range(rank)) - {s},
+                          tuple(members[s]), tuple(max_reps[s]))
+                 for s in range(rank))
 
 
 def vertex_count(sys: CoxeterSystem,

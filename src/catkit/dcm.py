@@ -33,6 +33,7 @@ matrix closure generator for generator.
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache, reduce
 from math import factorial
 from typing import Collection, Iterator, NamedTuple
@@ -40,8 +41,9 @@ from typing import Collection, Iterator, NamedTuple
 from . import boolmat as bm
 from . import permutations as pm
 from .boolmat import BoolMat
-from .monoid import (DEFAULT_CAP, MonoidTable, enumerate_presentation,
-                     gather, generate_monoid, generators_match)
+from .monoid import (DEFAULT_CAP, MonoidCapExceeded, MonoidTable,
+                     enumerate_presentation, gather, generate_monoid,
+                     generators_match)
 from .permutations import MonotoneMap, Perm, bruhat_covers
 
 
@@ -94,6 +96,52 @@ def dc_monoid(n: int, cap: int = DEFAULT_CAP) -> bm.MatrixTable:
     gens = [one | 1 << (i - 1) * n + i | 1 << i * n + i - 1
             for i in range(1, n)]
     return bm._closure(n, gens, bm._column_or(n, gens), cap, f"DC_{n}")
+
+
+def _dc_orbit(n: int, cap: int = DEFAULT_CAP) -> set[bytes]:
+    """The elements of DC_n as the orbit of the identity under right
+    multiplication by the generators, each as its bits' bm._lane_bytes(n)
+    little-endian bytes; an orbit of more than cap elements raises
+    MonoidCapExceeded as dc_monoid does, before the level that would take
+    it past cap joins it, and without the level's remaining generators
+    once its products alone are past cap, so that a small cap bounds the
+    memory at a large degree.
+
+    One breadth-first level at a time: the level's bytes, joined, are one
+    integer with a matrix to a lane, bm._column_or_lanes takes each
+    generator's products of the whole level at once, and the products are
+    split back into lanes by one struct call.  No numbering, words or
+    Cayley rows are made, so it serves a caller that reads only the size.
+    """
+    width = bm._lane_bytes(n)
+    one = bm._spaced(n, n + 1).to_bytes(width, "little")
+    seen, level = {one}, [one]
+    while level:
+        count = len(level)
+        x = int.from_bytes(b"".join(level), "little")
+        split = struct.Struct(f"{width}s" * count).unpack
+        found: set[bytes] = set()
+        for y in bm._column_or_lanes(n, count, x):
+            found.update(split(y.to_bytes(width * count, "little")))
+            if len(found) > cap:  # the orbit is past cap already
+                break
+        found -= seen
+        if len(seen) + len(found) > cap:
+            raise MonoidCapExceeded(
+                f"closure of DC_{n} exceeded cap of {cap} elements")
+        seen |= found
+        level = found
+    return seen
+
+
+def dc_size(n: int, cap: int = DEFAULT_CAP) -> int:
+    """|DC_n|, the number of 4321-avoiding permutations of degree n
+    (A005802), counted as the orbit _dc_orbit, with no closure table.
+
+    >>> [dc_size(n) for n in range(7)]
+    [1, 1, 2, 6, 23, 103, 513]
+    """
+    return len(_dc_orbit(n, cap))
 
 
 def _capped(n: int, cap: int) -> bm.MatrixTable:

@@ -361,6 +361,27 @@ def test_lanes_match_mul_and_union_on_every_block_size(n, count):
     _lanes_match_mul_and_union(n, left, right)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 8, 9, 11])
+def test_column_or_lanes_match_the_step_lane_by_lane(n):
+    """Seeded matrices with the empty and the all-ones one, which also
+    fills the top lane: at n = 8 the all-ones matrix fills its 64-bit
+    lane, and at 9 and 11 a lane is two 64-bit words."""
+    rng = random.Random(n)
+    full = (1 << n * n) - 1
+    mats = [rng.getrandbits(n * n) for _ in range(300)] + [0, full, 0, full]
+    width = bm._lane_bytes(n)
+    assert width == (16 if n > 8 else 8)
+    x = int.from_bytes(b"".join(a.to_bytes(width, "little") for a in mats),
+                       "little")
+    step = bm._column_or(n, range(1, n))
+    products = list(bm._column_or_lanes(n, len(mats), x))
+    assert len(products) == max(n - 1, 0)
+    for i, y in enumerate(products, 1):
+        lanes = y.to_bytes(width * len(mats), "little")
+        assert [int.from_bytes(lanes[t * width:(t + 1) * width], "little")
+                for t in range(len(mats))] == [step(a, i) for a in mats]
+
+
 def test_lanes_refuse_what_they_cannot_hold():
     with pytest.raises(ValueError, match="block sizes differ"):
         bm.mul_union_lanes(2, [0, 1], [0])

@@ -193,6 +193,22 @@ def test_parabolic_support_rule_matches_bfs(name):
         assert (para.members, para.longest) == _bfs_parabolic(sys, J)
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A5", "A6", "B1", "B3",
+                                  "B4", "I2:2", "I2:5"])
+def test_maximal_parabolics_match_parabolic(name):
+    """The one pass over the masks makes each maximal parabolic as
+    parabolic does on its J."""
+    sys = cx.from_type_string(name)
+    every = frozenset(range(sys.rank))
+    assert cx.maximal_parabolics(sys) == tuple(
+        cx.parabolic(sys, every - {s}) for s in range(sys.rank))
+
+
+def test_maximal_parabolics_of_the_trivial_group():
+    sys = cx.coxeter_system([])
+    assert sys.order == 1 and cx.maximal_parabolics(sys) == ()
+
+
 @pytest.mark.parametrize("make", [lambda: cx.type_a(3),
                                   lambda: cx.dihedral(4),
                                   lambda: cx.type_b(2)])

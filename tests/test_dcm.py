@@ -144,6 +144,49 @@ def test_degree_cap():
         dcm.self_dual_count(5, cap=102)
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_orbit_size_matches_the_closure_table(n):
+    assert dcm.dc_size(n) == len(dcm.dc_monoid(n))
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_orbit_holds_the_closure_table_elements(n):
+    orbit = {int.from_bytes(x, "little") for x in dcm._dc_orbit(n)}
+    assert orbit == set(dcm.dc_monoid(n).bits)
+
+
+def test_orbit_leaves_a_level_once_it_is_past_the_cap(monkeypatch):
+    """At degree 40 and cap 50, the identity's 39 products join, and the
+    next level is refused after its second generator, whose products alone
+    pass the cap, not after all 39."""
+    drawn = []
+    lanes = bm._column_or_lanes
+
+    def counted(n, count, x):
+        for y in lanes(n, count, x):
+            drawn.append(count)
+            yield y
+    monkeypatch.setattr(bm, "_column_or_lanes", counted)
+    with pytest.raises(MonoidCapExceeded,
+                       match="^closure of DC_40 exceeded cap of 50 elements$"):
+        dcm.dc_size(40, cap=50)
+    assert drawn == [1] * 39 + [39] * 2
+
+
+@pytest.mark.parametrize("n,size", [(1, 1), (4, 23), (5, 103), (6, 513)])
+def test_orbit_cap_is_the_closure_cap(n, size):
+    """A cap of exactly |DC_n| suffices and one less refuses, with the
+    message of the closure table."""
+    assert dcm.dc_size(n, cap=size) == size
+    if size > 1:  # the identity is never refused
+        with pytest.raises(MonoidCapExceeded) as orbit:
+            dcm.dc_size(n, cap=size - 1)
+        with pytest.raises(MonoidCapExceeded) as table:
+            dcm.dc_monoid(n, cap=size - 1)
+        assert str(orbit.value) == str(table.value) == (
+            f"closure of DC_{n} exceeded cap of {size - 1} elements")
+
+
 def test_fibers():
     ident = bm.identity_mat(4)
     assert dcm.fiber(ident) == (pm.identity(4),)

@@ -491,15 +491,17 @@ def test_a_min_dim_sum_is_told_apart_by_its_tops(type_string, monkeypatch):
 @pytest.mark.parametrize("type_string", MIN_DIM_SYSTEMS)
 def test_min_dim_report_builds_each_maximal_parabolic_once(
         type_string, monkeypatch):
-    """The projectives and the vertex count share the rank parabolics."""
+    """The projectives and the vertex count share the rank parabolics,
+    made by one maximal_parabolics pass and no per-J parabolic."""
     sys = cx.from_type_string(type_string)
-    built = []
-    parabolic = cx.parabolic
+    built, passes = [], []
+    parabolic, maximal = cx.parabolic, cx.maximal_parabolics
     monkeypatch.setattr(cx, "parabolic",
                         lambda sys, J: built.append(J) or parabolic(sys, J))
+    monkeypatch.setattr(cx, "maximal_parabolics",
+                        lambda sys: passes.append(sys) or maximal(sys))
     report = rm.min_dim_report(sys)
-    every = frozenset(range(sys.rank))
-    assert built == [every - {s} for s in range(sys.rank)]
+    assert built == [] and passes == [sys]
     assert report["claimed"] == report["constructed_dim"]
 
 
