@@ -264,8 +264,8 @@ class MatrixTable(MonoidTable):
         # table is closed on the bits; its index, keyed by them, is dropped
         self.n, self.bits = n, table.elements
         self.gens, self.right = table.gens, table.right
-        self.words, self.parent, self._left = (table.words, table.parent,
-                                               table._left)
+        self.words, self.parent = table.words, table.parent
+        self.left_columns, self._left = table.left_columns, table._left
         self._elements = self._index = None
 
     @property

@@ -154,7 +154,8 @@ def _write_json(value, write, newline: str = "\n",
     are not scanned at all.  Either is written one entry at a
     time, so no text of the whole block is held.  A monoid.ProductRows
     view, a table's product rows, is written from rows of those texts,
-    each gathered from its parent's row and joined in one piece.
+    each gathered from its parent's row, joined in one piece and written
+    as it is.
 
     >>> import io
     >>> out = io.StringIO()
@@ -195,13 +196,14 @@ def _write_json(value, write, newline: str = "\n",
         # every table holds its identity, so there is at least one row
         labels = [texts[k] for k in range(len(value))]
         head, entry, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
-        sep = "[" + inner
+        sep = "[" + inner + head
         for row in value.table.product_rows(labels):
-            # one f-string copies the joined row once, where chained +
-            # would copy it twice more and leave a larger heap behind
-            write(f"{sep}{head}{entry.join(row)}{tail}")
-            sep = "," + inner
-        write(newline + "]")
+            # the joined row is written as it is, never copied into a
+            # larger text; the short texts around it go between the rows
+            write(sep)
+            write(entry.join(row))
+            sep = tail + "," + inner + head
+        write(tail + newline + "]")
         return
     if isinstance(value, dict):
         # _quote raises TypeError on a key that is not a str

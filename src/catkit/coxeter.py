@@ -72,8 +72,8 @@ class CoxeterSystem(MonoidTable):
     @property
     def left(self) -> list[list[int]]:
         """left[i][s] is the index of s * elements[i]: the table's
-        left_table(), built on first use."""
-        return self._left or self.left_table()
+        left_table(), the transpose of its left columns."""
+        return self.left_table()
 
     @property
     def rank(self) -> int:
@@ -140,7 +140,8 @@ def coxeter_system(gen_perms: list[CarrierPerm],
     if len(length) > 1 and length[-1] == length[-2]:
         raise CoxeterError("longest element is not unique; group not Coxeter?")
     system = CoxeterSystem(table.elements, table.index, table.gens,
-                           table.right, table.words, table.parent)
+                           table.right, table.words, table.parent,
+                           table.left_columns)
     system.name, system.gen_perms = name, gens
     system.matrix = tuple(tuple(row) for row in orders)
     system.length = length

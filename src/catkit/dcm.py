@@ -36,6 +36,7 @@ from __future__ import annotations
 import struct
 from functools import lru_cache, reduce
 from math import factorial
+from operator import eq
 from typing import Collection, Iterator, NamedTuple
 
 from . import boolmat as bm
@@ -332,9 +333,11 @@ def first_multimaximal_fiber(n: int) -> tuple[BoolMat, frozenset[Perm]] | None:
     table = dc_monoid(n)
     fibers = projection_fibers(n)
     for x in table.elements:
-        maximal = _bruhat_maximal(fibers[x])
-        if len(maximal) > 1:
-            return x, maximal
+        members = fibers[x]
+        if len(members) > 1:  # a fiber of one member is its one maximum
+            maximal = _bruhat_maximal(members)
+            if len(maximal) > 1:
+                return x, maximal
     return None
 
 
@@ -397,11 +400,32 @@ def is_symmetric(x: BoolMat) -> bool:
     return bm.transpose(x) == x
 
 
+def _transposes(table: bm.MatrixTable) -> list[int]:
+    """t[j], the index of the transpose of element j, for every element of
+    a closure table of DC_n.
+
+    The transpose is an anti-automorphism, (xy)^T = y^T x^T, and it fixes
+    every generator, so the transpose of j = parent[j] * g is
+    g * parent[j]^T: one read of the closure's left column g.  One pass in
+    closure order, where a parent comes before its children, makes them
+    all; only the generators are transposed as matrices, and one that is
+    not symmetric raises InternalInconsistency.
+    """
+    n, bits = table.n, table.bits
+    if any(bm._transpose_bits(n, bits[g]) != bits[g] for g in table.gens):
+        raise InternalInconsistency(f"a generator of DC_{n} is not symmetric")
+    left, t = table.left_columns, [0]
+    for p, g in table._steps():
+        t.append(left[g][t[p]])
+    return t
+
+
 def self_dual_count(n: int, cap: int = DEFAULT_CAP) -> int:
-    """Number of symmetric elements; equals the n-th Motzkin number.  The
-    closure's bits are transposed as they are, so no BoolMat is made."""
-    return sum(1 for x in _capped(n, cap).bits
-               if bm._transpose_bits(n, x) == x)
+    """Number of symmetric elements; equals the n-th Motzkin number.
+    Counted as the fixed points of the transpose map _transposes, so no
+    element but the generators is transposed and no BoolMat is made."""
+    t = _transposes(_capped(n, cap))
+    return sum(map(eq, t, range(len(t))))
 
 
 def motzkin_number(k: int) -> int:
@@ -431,9 +455,10 @@ def is_block_all_ones(x: BoolMat) -> bool:
 
 
 def dc_idempotents(n: int) -> list[BoolMat]:
-    """All idempotents of the monoid; block all-ones matrices, 2^(n-1) many."""
+    """All idempotents of the monoid; block all-ones matrices, 2^(n-1) many.
+    Only they are wrapped, from the table's bits."""
     table = dc_monoid(n)
-    return [table.elements[i] for i in table.idempotent_indices()]
+    return [bm.from_bits(n, table.bits[i]) for i in table.idempotent_indices()]
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,12 @@ element carries a shortest witness word.
 
 The closure is a prefix tree (Froidure and Pin, "Algorithms for computing
 finite semigroups", 1997): every element j > 0 is its parent, the element
-whose row discovered it, times the last letter g of its word.  Only the
-right Cayley table is stored.  A single product x * j walks j's word
-through it.  The left Cayley table, the products g' * j, follows the
-prefix rule
-
-    g' * j = (g' * parent[j]) * g,
-
-one right-table step per entry.  The product table follows the same rule
-from the left: if i = parent[i] * g, then
+whose row discovered it, times the last letter g of its word.  Both Cayley
+graphs are kept, as in their algorithm: the right table row by row, and
+the left table, the products g' * j, column by column, as the closure
+makes it (below).  A single product x * j walks j's word through the
+right table.  The product table follows the prefix rule from the left: if
+i = parent[i] * g, then
 
     i * j = parent[i] * (g * j),
 
@@ -42,9 +39,9 @@ element, so that by associativity
 
 Column b of the left table gives b * t if t lies in an earlier level, and
 else b * parent[t], which comes no later than u, so that the last step
-reads a row already made.  The left table is filled a level at a time and
-dropped at the end.  At DC_8 the product is called on 16,319 of the
-110,369 edges.
+reads a row already made.  The left table is filled a level at a time, by
+the prefix rule g' * j = (g' * parent[j]) * g, and kept.  At DC_8 the
+product is called on 16,319 of the 110,369 edges.
 
 A monoid given by a finite presentation is enumerated by Todd-Coxeter
 coset enumeration instead, and its finished table is renumbered by the same
@@ -85,12 +82,11 @@ class MonoidCapExceeded(RuntimeError):
 
 class MonoidTable:
     __slots__ = ("elements", "index", "gens", "right", "words", "parent",
-                 "_left")
+                 "left_columns", "_left")
 
     def __init__(self, elements: list, index: dict, gens: tuple[int, ...],
                  right: list[list[int]], words: list[tuple[int, ...]],
-                 parent: list[int],
-                 _left: list[list[int]] | None = None) -> None:
+                 parent: list[int], left_columns: list[list[int]]) -> None:
         self.elements = elements
         self.index = index
         self.gens = gens
@@ -98,7 +94,9 @@ class MonoidTable:
         self.words = words
         # element j > 0 is parent[j] times letter words[j][-1]
         self.parent = parent
-        self._left = _left
+        # left_columns[g][x]: the index of generators[g] * elements[x]
+        self.left_columns = left_columns
+        self._left: list[list[int]] | None = None
 
     def __len__(self) -> int:
         return len(self.right)  # not elements, which a subclass may make
@@ -119,22 +117,20 @@ class MonoidTable:
         return [(p, w[-1]) for p, w in zip(self.parent[1:], self.words[1:])]
 
     def left_table(self) -> list[list[int]]:
-        """left[i][g] = index of generators[g] * elements[i], by the prefix
-        rule: left[j][g] = right[left[parent[j]][g]][last letter of j]."""
+        """left[i][g] = index of generators[g] * elements[i]: the transpose
+        of left_columns, made on the first call; a table with no
+        generators has one empty row per element."""
         if self._left is None:
-            right = self.right
-            left = [list(self.gens)]
-            for p, g in self._steps():
-                left.append([right[x][g] for x in left[p]])
-            self._left = left
+            self._left = (list(map(list, zip(*self.left_columns)))
+                          if self.left_columns else [[] for _ in self.right])
         return self._left
 
     def product_rows(self, labels: Sequence | None = None) -> Iterator[tuple]:
         """Row i of the product table, the tuple of labels[product(i, j)]
         over every j, for each i in turn; the labels default to the indices.
         Row 0 is tuple(labels), and each later row is row parent[i]
-        gathered through column g of the left table, g the last letter of
-        i.  A row is kept only until the row of its last child is made.
+        gathered through left_columns[g], g the last letter of i.  A row
+        is kept only until the row of its last child is made.
 
         The sums 0, 1, 2, capped at 2:
 
@@ -144,7 +140,7 @@ class MonoidTable:
         """
         row = tuple(range(len(self)) if labels is None else labels)
         yield row
-        through = [gather(column) for column in zip(*self.left_table())]
+        through = [gather(column) for column in self.left_columns]
         last_child = {p: j for j, p in enumerate(self.parent)}
         live = {0: row}
         for i, (p, g) in enumerate(self._steps(), 1):
@@ -339,7 +335,8 @@ def generate_monoid(generators: Sequence[Hashable], mul: Callable,
             base, start = start, end
         gens = tuple(index[g] for g in generators) if generators else ()
         return MonoidTable(elements=elements, index=index, gens=gens,
-                           right=right, words=words, parent=parent)
+                           right=right, words=words, parent=parent,
+                           left_columns=left)
     finally:
         if collecting:
             gc.enable()

@@ -193,8 +193,29 @@ def closure_by_every_product(generators, mul, identity, cap=None,
         right.append(row)
         pos += 1
     gens = tuple(index[g] for g in generators) if generators else ()
-    return MonoidTable(elements=elements, index=index, gens=gens,
-                       right=right, words=words, parent=parent)
+    table = MonoidTable(elements=elements, index=index, gens=gens,
+                        right=right, words=words, parent=parent,
+                        left_columns=[])
+    table.left_columns = left_columns(left_table_by_prefix_rule(table))
+    return table
+
+
+def left_table_by_prefix_rule(table: MonoidTable) -> list[list[int]]:
+    """left[i][g] = index of generators[g] * elements[i], rebuilt from the
+    right table alone by the prefix rule
+    left[j][g] = right[left[parent[j]][g]][last letter of j],
+    one right-table step per entry."""
+    right = table.right
+    left = [list(table.gens)]
+    for p, word in zip(table.parent[1:], table.words[1:]):
+        left.append([right[x][word[-1]] for x in left[p]])
+    return left
+
+
+def left_columns(left: list[list[int]]) -> list[list[int]]:
+    """The columns of a left table, column g the products of generator g:
+    none when the rows are empty."""
+    return [list(column) for column in zip(*left)]
 
 
 def closure_by_wrapping(n, gens, step, cap=None,

@@ -44,7 +44,7 @@ def test_closure_built_tables(type_string):
 
 @pytest.mark.parametrize("type_string", ["A3", "B3", "I2(5)"])
 def test_left_table_matches_composing_each_generator(type_string):
-    """The left table, built by the prefix rule, against s * w composed
+    """The left table, the closure's left columns, against s * w composed
     and looked up for every generator s and element w."""
     sys = cx.from_type_string(type_string)
     assert sys.left == [[sys.index[cx._compose(g, x)] for g in sys.gen_perms]

@@ -449,6 +449,21 @@ def test_multimaximal_fiber_witness():
     assert all(dcm.dc_of_perm(w) == x for w in maximal)
 
 
+def test_multimaximal_fiber_skips_fibers_of_one_member(monkeypatch):
+    """A fiber of one member is its own maximum, so no such fiber is
+    searched, and the first multi-maximal fiber is the full scan's."""
+    maximal, sizes = dcm._bruhat_maximal, []
+    monkeypatch.setattr(dcm, "_bruhat_maximal",
+                        lambda members: sizes.append(len(members))
+                        or maximal(members))
+    for n in range(8):
+        fibers = dcm.projection_fibers(n)
+        full = next(((x, top) for x in dcm.dc_monoid(n).elements
+                     if len(top := maximal(fibers[x])) > 1), None)
+        assert dcm.first_multimaximal_fiber(n) == full
+    assert sizes and min(sizes) > 1
+
+
 def test_catalan_fiber_analysis():
     ident = dcm.catalan_fiber_analysis((1, 2, 3))
     assert ident.pi == ident.pi_prime == (1, 2, 3)
@@ -515,6 +530,27 @@ def test_self_dual_count_matches_is_symmetric(n):
     assert dcm.self_dual_count(n) == sum(symmetric)
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_transpose_pass_matches_transposing_each_element(n):
+    """The pass reads each transpose off a left column of the closure; the
+    reference transposes the bits of each element."""
+    table = dcm.dc_monoid(n)
+    t = dcm._transposes(table)
+    assert [table.bits[k] for k in t] == [bm._transpose_bits(n, x)
+                                          for x in table.bits]
+
+
+def test_self_dual_count_refuses_a_generator_that_is_not_symmetric(
+        monkeypatch):
+    """The pass holds only if the transpose fixes every generator."""
+    table = dcm.dc_monoid.__wrapped__(4)  # a fresh table, not the cached one
+    table.bits[table.gens[1]] |= 1 << 2  # the entry (1, 3) of the second
+    monkeypatch.setattr(dcm, "_capped", lambda n, cap: table)
+    with pytest.raises(dcm.InternalInconsistency,
+                       match="generator of DC_4 is not symmetric"):
+        dcm.self_dual_count(4)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_self_dual_bijection_with_avoiding_involutions(n):
     symmetric = [x for x in dcm.dc_monoid(n).elements if dcm.is_symmetric(x)]
@@ -535,6 +571,17 @@ def test_idempotents_are_block_ones(n):
     others = [x for x in dcm.dc_monoid(n).elements
               if dcm.is_block_all_ones(x)]
     assert set(idem) == set(others)
+
+
+def test_idempotents_wrap_no_other_element(monkeypatch):
+    """Only the idempotents are made BoolMats, from the table's bits; the
+    table's elements stay unmade."""
+    table = dcm.dc_monoid.__wrapped__(6)  # a fresh table, not the cached one
+    monkeypatch.setattr(dcm, "dc_monoid", lambda n: table)
+    idem = dcm.dc_idempotents(6)
+    assert table._elements is None
+    assert [x.bits for x in idem] == [table.bits[i]
+                                      for i in table.idempotent_indices()]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])

@@ -17,6 +17,7 @@ from catkit.cli import _write_json
 from catkit.monoid import (MonoidCapExceeded, ProductRows,
                            enumerate_presentation, gather, generate_monoid,
                            generators_match)
+import oracles
 from oracles import closure_by_every_product
 
 
@@ -203,6 +204,39 @@ def test_left_table_matches_word_walks(family, n, build):
     assert table.left_table() == [
         [table.product(gi, i) for gi in table.gens]
         for i in range(len(table))]
+
+
+LEFT_COLUMN_TABLES = {
+    **{f"Hecke{n}": functools.partial(hecke.hecke_monoid, n)
+       for n in (0, 1, 4, 5)},
+    **{f"Catalan{n}": functools.partial(dcm.catalan_monoid, n)
+       for n in (0, 1, 5, 6)},
+    **{f"DC{n}": functools.partial(dcm.dc_monoid, n) for n in (0, 1, 5, 6)},
+    **{name: functools.partial(cx.from_type_string, name)
+       for name in ("A4", "B3", "I2(5)")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEFT_COLUMN_TABLES))
+def test_left_columns_match_the_prefix_rule(case):
+    """The left columns the closure keeps, and left_table(), their
+    transpose, against the left table rebuilt from the right table."""
+    table = LEFT_COLUMN_TABLES[case]()
+    left = oracles.left_table_by_prefix_rule(table)
+    assert len(left) == len(table)
+    assert table.left_columns == oracles.left_columns(left)
+    assert len(table.left_columns) == len(table.gens)
+    assert table.left_table() == left
+
+
+@pytest.mark.parametrize("build", [hecke.hecke_monoid, dcm.catalan_monoid,
+                                   dcm.dc_monoid])
+@pytest.mark.parametrize("n", [0, 1])
+def test_left_table_without_generators_has_an_empty_row_each(build, n):
+    table = build(n)
+    assert table.gens == () and table.left_columns == []
+    assert table.left_table() == [[]] * len(table) == [[]]
+    assert list(table.product_rows()) == [(0,)]
 
 
 @pytest.mark.parametrize("family,n,build", TABLES)
