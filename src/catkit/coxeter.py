@@ -93,8 +93,8 @@ class CoxeterSystem(MonoidTable):
                          if self.length[self.right[i][s]] < self.length[i])
 
     def left_descents(self, i: int) -> frozenset[int]:
-        return frozenset(s for s in range(self.rank)
-                         if self.length[self.left[i][s]] < self.length[i])
+        return frozenset(s for s, column in enumerate(self.left_columns)
+                         if self.length[column[i]] < self.length[i])
 
     def longest_conjugation(self) -> tuple[int, ...]:
         """The permutation s -> w0 s w0 of generator positions."""
@@ -214,15 +214,20 @@ def e_mul(sys: CoxeterSystem, s: int, i: int, side: str = "left") -> int:
     """Fold by the s-th generator: move to the longer neighbor or stay."""
     if not 0 <= s < sys.rank:
         raise ValueError(f"generator {s} out of range")
-    j = sys.left[i][s] if side == "left" else sys.right[i][s]
+    j = sys.left_columns[s][i] if side == "left" else sys.right[i][s]
     return j if sys.length[j] > sys.length[i] else i
 
 
 def hecke_mul(sys: CoxeterSystem, i: int, j: int) -> int:
-    """0-Hecke product, folding j's reduced word into i on the right."""
+    """0-Hecke product, folding j's reduced word into i on the right: each
+    letter s moves the product to its right neighbor by s in sys.right
+    when that is longer, and leaves it otherwise."""
+    right, length = sys.right, sys.length
     cur = i
     for s in sys.words[j]:
-        cur = e_mul(sys, s, cur, side="right")
+        nxt = right[cur][s]
+        if length[nxt] > length[cur]:
+            cur = nxt
     return cur
 
 
@@ -230,17 +235,46 @@ def bruhat_leq(sys: CoxeterSystem, u: int, w: int) -> bool:
     """Bruhat order by descent recursion on reduced words: for the least
     left descent s of w, u <= w iff su <= sw when s is a left descent of
     u, and u <= sw otherwise."""
-    length, left = sys.length, sys.left
+    length, columns = sys.length, sys.left_columns
     while length[u] <= length[w]:
         if u == w:
             return True
         # w is not the identity here, so it has a left descent
-        s = next(s for s, sw in enumerate(left[w]) if length[sw] < length[w])
-        su = left[u][s]
+        s_times = next(c for c in columns if length[c[w]] < length[w])
+        su = s_times[u]
         if length[su] < length[u]:
             u = su
-        w = left[w][s]
+        w = s_times[w]
     return False
+
+
+def bruhat_ideals(sys: CoxeterSystem) -> list[int]:
+    """The whole Bruhat order in one pass: bit u of entry w is set iff
+    u <= w.
+
+    For a left descent s of w, [e, w] is [e, sw] together with its image
+    under left multiplication by s (the subword property, Björner and
+    Brenti, Combinatorics of Coxeter Groups, Thm 2.2.2).  The first letter
+    s of w's closure word is such a descent, and sw, the word without it,
+    comes earlier in closure order, so each ideal is one union of an
+    earlier ideal and its image, read through left_columns[s].  Meant for
+    whole-order reads of small groups, where bruhat_leq answers single
+    queries:
+
+    >>> [ideal.bit_count() for ideal in bruhat_ideals(type_a(2))]
+    [1, 2, 2, 4, 4, 6]
+    """
+    ideals = [1]  # the identity's ideal is itself
+    for w in range(1, sys.order):
+        column = sys.left_columns[sys.words[w][0]]
+        below = ideals[column[w]]
+        moved, rest = 0, below
+        while rest:
+            low = rest & -rest
+            moved |= 1 << column[low.bit_length() - 1]
+            rest ^= low
+        ideals.append(below | moved)
+    return ideals
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +350,7 @@ def coset_action(sys: CoxeterSystem, J: frozenset[int] | set[int]) -> list[Carri
         images = []
         for members in sets:
             rep = next(iter(members))
-            images.append(coset_id[sys.left[rep][s]])
+            images.append(coset_id[sys.left_columns[s][rep]])
         out.append(tuple(images))
     return out
 

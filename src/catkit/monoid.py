@@ -153,14 +153,13 @@ class MonoidTable:
 
     def two_sided_ideal(self, a: int) -> frozenset[int]:
         """Indices of all elements x*a*y."""
-        left = self.left_table()
         seen = {a}
         frontier = [a]
         while frontier:
             nxt = []
             for x in frontier:
-                for g in range(len(self.gens)):
-                    for y in (self.right[x][g], left[x][g]):
+                for g, column in enumerate(self.left_columns):
+                    for y in (self.right[x][g], column[x]):
                         if y not in seen:
                             seen.add(y)
                             nxt.append(y)
@@ -169,8 +168,10 @@ class MonoidTable:
 
     def is_j_trivial(self) -> bool:
         """Distinct elements generate distinct two-sided principal ideals:
-        neither Cayley graph has a cycle other than a self-loop."""
-        return _loops_only(self.right) and _loops_only(self.left_table())
+        neither Cayley graph has a cycle other than a self-loop.  The left
+        graph is read from left_columns, so no left_table() is made."""
+        return (_loops_only(self.right)
+                and _column_loops_only(self.left_columns, len(self)))
 
     def idempotent_indices(self) -> list[int]:
         return [i for i in range(len(self)) if self.product(i, i) == i]
@@ -245,6 +246,25 @@ def _loops_only(graph: list[list[int]]) -> bool:
                 if indegree[y] == 0:
                     order.append(y)
     return len(order) == len(graph)
+
+
+def _column_loops_only(columns: list[list[int]], size: int) -> bool:
+    """_loops_only of the graph on range(size) with an edge x -> column[x]
+    for each of the columns, read from the columns as they are."""
+    indegree = [0] * size
+    for column in columns:
+        for x, y in enumerate(column):
+            if y != x:
+                indegree[y] += 1
+    order = [x for x, d in enumerate(indegree) if d == 0]
+    for x in order:  # the loop also visits the nodes appended during it
+        for column in columns:
+            y = column[x]
+            if y != x:
+                indegree[y] -= 1
+                if indegree[y] == 0:
+                    order.append(y)
+    return len(order) == size
 
 
 def generate_monoid(generators: Sequence[Hashable], mul: Callable,

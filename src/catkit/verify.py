@@ -528,14 +528,52 @@ def check_presentation(n_max: int, rng: random.Random) -> CheckResult:
     return CheckResult(name, True, {"sizes": sizes})
 
 
+# The systems of the Hecke-side checks, by type string.
+_DIHEDRAL = [f"I2({m})" for m in range(3, 7)]
+_SMALL = ["A2", "A3", "B2", "B3"] + _DIHEDRAL
+_HECKE = ["A2", "A3", "A4", "B2", "B3"] + _DIHEDRAL
+
+
+class _RunMemo:
+    """What the Hecke-side checks of one run_verify_all share: each Coxeter
+    system by its type string, and each system's rm.min_dim_report."""
+
+    def __init__(self) -> None:
+        self.systems = _Memo(cx.from_type_string)
+        self.reports = _Memo(lambda text: rm.min_dim_report(
+            self.systems[text]))
+
+
+_run: _RunMemo | None = None  # the memo of the run in progress, if any
+
+
+def _system(text: str) -> cx.CoxeterSystem:
+    """The system of a type string: the run's copy during run_verify_all,
+    else a fresh one."""
+    if _run is None:
+        return cx.from_type_string(text)
+    return _run.systems[text]
+
+
+def _min_dim_report(text: str) -> dict:
+    """rm.min_dim_report of the system of a type string, shared by the run
+    during run_verify_all, else made fresh; read it, do not change it."""
+    if _run is None:
+        return rm.min_dim_report(cx.from_type_string(text))
+    return _run.reports[text]
+
+
 def check_coset_max_reps(n_max: int, rng: random.Random) -> CheckResult:
-    """Idempotent products project onto longest coset representatives;
-    Bruhat order is read once per system, the projection once per J."""
+    """Idempotent products project onto longest coset representatives,
+    and the projection preserves Bruhat order.  The whole order of each
+    system is read once, from cx.bruhat_ideals, and the projection once
+    per J."""
     name = "coset-max-reps"
-    systems = [cx.type_a(3)] + [cx.dihedral(m) for m in range(3, 7)]
+    systems = [_system(t) for t in ["A3"] + _DIHEDRAL]
     for sys in systems:
+        ideals = cx.bruhat_ideals(sys)
         below = [(u, w) for u in range(sys.order) for w in range(sys.order)
-                 if cx.bruhat_leq(sys, u, w)]
+                 if ideals[w] >> u & 1]
         for mask in range(1 << sys.rank):
             J = frozenset(s for s in range(sys.rank) if mask >> s & 1)
             para = cx.parabolic(sys, J)
@@ -549,14 +587,14 @@ def check_coset_max_reps(n_max: int, rng: random.Random) -> CheckResult:
                                         "element": i})
             # moving a representative out of its coset stays representative
             for w in para.max_reps:
-                for s in range(sys.rank):
-                    sw = sys.left[w][s]
+                for s, column in enumerate(sys.left_columns):
+                    sw = column[w]
                     if coset_id[sw] != coset_id[w] and sw not in para.max_reps:
                         return _fail(name, {"type": sys.name, "J": sorted(J),
                                             "element": w, "generator": s})
             # order preservation of the projection
             for u, w in below:
-                if not cx.bruhat_leq(sys, reps[u], reps[w]):
+                if not ideals[reps[w]] >> reps[u] & 1:
                     return _fail(name, {"type": sys.name, "J": sorted(J),
                                         "u": u, "w": w})
     return CheckResult(name, True, {"systems": [s.name for s in systems]})
@@ -564,16 +602,14 @@ def check_coset_max_reps(n_max: int, rng: random.Random) -> CheckResult:
 
 def check_covered_by_longest(n_max: int, rng: random.Random) -> CheckResult:
     """w0 s is the unique representative covered by w0, with the predicted
-    left descent set."""
+    left descent set.  The parabolics on S - {s} come from one
+    cx.maximal_parabolics pass per system."""
     name = "longest-coset-covers"
-    systems = [cx.type_a(2), cx.type_a(3), cx.type_b(2), cx.type_b(3)]
-    systems += [cx.dihedral(m) for m in range(3, 7)]
+    systems = [_system(t) for t in _SMALL]
     for sys in systems:
         w0 = sys.longest
         conj = sys.longest_conjugation()
-        for s in range(sys.rank):
-            J = frozenset(range(sys.rank)) - {s}
-            para = cx.parabolic(sys, J)
+        for s, para in enumerate(cx.maximal_parabolics(sys)):
             covered = [w for w in para.max_reps
                        if sys.length[w] == sys.length[w0] - 1]
             w0s = sys.right[w0][s]
@@ -588,44 +624,45 @@ def check_covered_by_longest(n_max: int, rng: random.Random) -> CheckResult:
 
 def check_union_ideal_effective(n_max: int, rng: random.Random) -> CheckResult:
     """The folding action on all maximal-parabolic ideals together is
-    effective, on a carrier of size the vertex count."""
+    effective, on a carrier of size the vertex count.
+
+    The carriers are the longest coset representatives of the parabolics
+    on S - {s}, from one cx.maximal_parabolics pass, side by side in one
+    module of their folding actions.  Element i, its parent p times the
+    last letter a of its word, sends w to i * w = p * (a * w) in the
+    0-Hecke product, so rm.element_column_maps makes every element's
+    action in one pass, each one gather of p's action through a's folding.
+    """
     name = "vertex-action-effective"
-    systems = [cx.type_a(2), cx.type_a(3), cx.type_b(2), cx.type_b(3)]
-    systems += [cx.dihedral(m) for m in range(3, 7)]
+    systems = [_system(t) for t in _SMALL]
     for sys in systems:
-        carriers = []
-        for s in range(sys.rank):
-            J = frozenset(range(sys.rank)) - {s}
-            carriers.append(cx.parabolic(sys, J).max_reps)
-        if sum(len(c) for c in carriers) != cx.vertex_count(sys):
+        paras = cx.maximal_parabolics(sys)
+        carriers = rm.direct_sum([rm.projective_module(sys, s, para)
+                                  for s, para in enumerate(paras)])
+        if carriers.dim != cx.vertex_count(sys, paras):
             return _fail(name, {"type": sys.name, "reason": "carrier size"})
-        actions = set()
-        for i in range(sys.order):
-            act = tuple(tuple(cx.hecke_mul(sys, i, w) for w in carrier)
-                        for carrier in carriers)
-            actions.add(act)
-        if len(actions) != sys.order:
+        if len(set(rm.element_column_maps(sys, carriers))) != sys.order:
             return _fail(name, {"type": sys.name, "reason": "not effective"})
     return CheckResult(name, True, {"systems": [s.name for s in systems]})
 
 
 def check_simple_socle(n_max: int, rng: random.Random) -> CheckResult:
+    """Each reduced projective has the predicted simple socle, read from
+    the "socles" of the system's rm.min_dim_report, which runs
+    rm.simple_socle_check once per generator."""
     name = "simple-socle"
-    systems = [cx.type_a(2), cx.type_a(3), cx.type_a(4),
-               cx.type_b(2), cx.type_b(3)]
-    systems += [cx.dihedral(m) for m in range(3, 7)]
-    for sys in systems:
-        for s in range(sys.rank):
-            result = rm.simple_socle_check(sys, s)
+    for text in _HECKE:
+        socles = _min_dim_report(text)["socles"]
+        for s, result in enumerate(socles.values()):
             if not result["ok"]:
-                return _fail(name, {"type": sys.name, "s": s,
+                return _fail(name, {"type": text, "s": s,
                                     "dimension": result["dimension"]})
-    return CheckResult(name, True, {"systems": [s.name for s in systems]})
+    return CheckResult(name, True, {"systems": list(_HECKE)})
 
 
 def check_eigen_split(n_max: int, rng: random.Random) -> CheckResult:
     name = "eigen-split"
-    systems = [cx.type_a(2), cx.type_a(3), cx.type_b(2), cx.dihedral(4)]
+    systems = [_system(t) for t in ["A2", "A3", "B2", "I2(4)"]]
     for sys in systems:
         for s in range(sys.rank):
             module = rm.projective_module(sys, s)
@@ -637,16 +674,20 @@ def check_eigen_split(n_max: int, rng: random.Random) -> CheckResult:
 
 
 def check_hecke_min_dim(n_max: int, rng: random.Random) -> CheckResult:
+    """Each system's rm.min_dim_report certifies the claimed dimension,
+    and type A_k's claim is 2^(k+1) - k - 2.  The reports listed are
+    copies without "socles", which simple-socle checks, since the run
+    shares the reports themselves."""
     name = "hecke-min-dim"
     reports = []
-    cases = [(cx.type_a(rank), 2 ** (rank + 1) - rank - 2)
-             for rank in (2, 3, 4)]
-    cases += [(sys, None) for sys in [cx.type_b(2), cx.type_b(3)]
-              + [cx.dihedral(m) for m in range(3, 7)]]
-    for sys, expected in cases:
-        rep = rm.min_dim_report(sys)
-        del rep["socles"]  # the summary only; simple-socle checks them
+    for text in _HECKE:
+        rep = {key: value for key, value in _min_dim_report(text).items()
+               if key != "socles"}
         reports.append(rep)
+        expected = None
+        if text.startswith("A"):
+            rank = int(text[1:])
+            expected = 2 ** (rank + 1) - rank - 2
         if not (rep["effective"] and rep["socle_verified"]
                 and rep["constructed_dim"] == rep["claimed"]
                 and expected in (None, rep["claimed"])):
@@ -666,7 +707,7 @@ def check_dc_min_dim(n_max: int, rng: random.Random) -> CheckResult:
 def check_generalized_quotients(n_max: int, rng: random.Random) -> CheckResult:
     name = "generalized-quotients"
     for n in range(3, min(n_max, 5) + 1):
-        sys = cx.type_a(n - 1)
+        sys = _system(f"A{n - 1}")
         J = frozenset(range(sys.rank)) - {sys.rank - 1}
         dc_q = cx.double_catalan_quotient(sys, J)
         if not generators_match(dc_q, dcm.dc_monoid(n)):
@@ -706,9 +747,15 @@ def run_verify_all(n_max: int = 4, seed: int = 0) -> dict:
     """Run every suite up to n_max; the report maps check names to results.
 
     Results are deterministic for a fixed (n_max, seed): each check gets its
-    own generator seeded with seed.
+    own generator seeded with seed.  The Hecke-side checks share one
+    _RunMemo, made for the run and dropped when it returns or raises.
     """
-    results = [fn(n_max, random.Random(seed)) for fn in ALL_CHECKS]
+    global _run
+    _run = _RunMemo()
+    try:
+        results = [fn(n_max, random.Random(seed)) for fn in ALL_CHECKS]
+    finally:
+        _run = None
     results.sort(key=lambda r: r.name)
     return {
         "n_max": n_max,

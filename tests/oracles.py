@@ -453,6 +453,22 @@ def bruhat_leq_by_descent_sets(sys: cx.CoxeterSystem, u: int, w: int) -> bool:
     return bruhat_leq_by_descent_sets(sys, u, sw)
 
 
+def hecke_mul_by_e_mul(sys: cx.CoxeterSystem, i: int, j: int) -> int:
+    """The 0-Hecke product folded one letter of j's word at a time by the
+    range-checking cx.e_mul."""
+    for s in sys.words[j]:
+        i = cx.e_mul(sys, s, i, side="right")
+    return i
+
+
+def union_actions_by_hecke_mul(sys: cx.CoxeterSystem, paras) -> list[tuple]:
+    """Per element i, the tuple over paras of its images i * w of their
+    longest coset representatives w, each by cx.hecke_mul."""
+    return [tuple(tuple(cx.hecke_mul(sys, i, w) for w in para.max_reps)
+                  for para in paras)
+            for i in range(sys.order)]
+
+
 # ---------------------------------------------------------------------------
 # Nullspaces back-substituted in Fractions.
 

@@ -282,6 +282,23 @@ def test_repmin_type_builds_no_left_table(capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("run", [
+    lambda capsys: run_cli(capsys, "verify-all", "--n-max", "5"),
+    lambda capsys: run_cli(capsys, "coxeter", "--type", "A5", "--quotient",
+                           "double", "--J", "s1,s2,s3,s4"),
+    lambda capsys: dcm.dc_monoid(7).is_j_trivial()],
+    ids=["verify-all", "coxeter-A5-double", "dc7-is-j-trivial"])
+def test_left_columns_serve_without_a_left_table(capsys, monkeypatch, run):
+    """The Coxeter readers and the J-triviality test read the closure's
+    left columns, so no left table is made."""
+    calls = []
+    left_table = MonoidTable.left_table
+    monkeypatch.setattr(MonoidTable, "left_table",
+                        lambda self: calls.append(self) or left_table(self))
+    run(capsys)
+    assert calls == []
+
+
 def test_dcm_count_at_degree_nine():
     """DC_9 has 94,359 elements (A005802), beyond the default cap; its own
     interpreter, so the cached table does not stay with the test session."""

@@ -374,3 +374,24 @@ def test_bruhat_leq_matches_the_descent_set_route(name):
         for w in range(sys.order):
             assert (cx.bruhat_leq(sys, u, w)
                     == oracles.bruhat_leq_by_descent_sets(sys, u, w)), (u, w)
+
+
+@pytest.mark.parametrize("name", ([f"A{k}" for k in range(5)]
+                                  + ["B2", "B3", "B4"]
+                                  + [f"I2:{m}" for m in range(2, 9)]))
+def test_bruhat_ideals_match_bruhat_leq(name):
+    sys = cx.from_type_string(name)
+    ideals = cx.bruhat_ideals(sys)
+    assert len(ideals) == sys.order
+    for w, ideal in enumerate(ideals):
+        assert ideal == sum(1 << u for u in range(sys.order)
+                            if cx.bruhat_leq(sys, u, w)), w
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "I2:5"])
+def test_hecke_mul_matches_folding_by_e_mul(name):
+    sys = cx.from_type_string(name)
+    for i in range(sys.order):
+        for j in range(sys.order):
+            assert (cx.hecke_mul(sys, i, j)
+                    == oracles.hecke_mul_by_e_mul(sys, i, j)), (i, j)

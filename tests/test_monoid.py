@@ -251,6 +251,38 @@ def test_j_triviality_fails_where_ideals_coincide(name):
     assert table.is_j_trivial() is _ideal_count_j_trivial(table) is False
 
 
+def _two_sided_ideal_by_left_rows(table, a):
+    """All x*a*y by breadth-first search over the rows of both Cayley
+    tables, the left one made by left_table()."""
+    left = table.left_table()
+    seen, frontier = {a}, [a]
+    while frontier:
+        frontier = [y for x in frontier for y in table.right[x] + left[x]
+                    if y not in seen and not seen.add(y)]
+    return frozenset(seen)
+
+
+ALL_TABLES = ([pytest.param(functools.partial(build, n), id=f"{family}{n}")
+               for family, n, build in TABLES]
+              + [pytest.param(build, id=name)
+                 for name, build in NOT_J_TRIVIAL.items()])
+
+
+@pytest.mark.parametrize("make", ALL_TABLES)
+def test_column_kahn_matches_the_row_kahn_on_the_left_table(make):
+    table = make()
+    assert (monoid._column_loops_only(table.left_columns, len(table))
+            == monoid._loops_only(table.left_table()))
+
+
+@pytest.mark.parametrize("make", ALL_TABLES)
+def test_two_sided_ideal_matches_the_left_row_search(make):
+    table = make()
+    for a in range(len(table)):
+        assert table.two_sided_ideal(a) == _two_sided_ideal_by_left_rows(
+            table, a)
+
+
 def test_left_zero_monoid_is_r_trivial_only():
     """Each Cayley graph is needed: the left-zero monoid's cycle lies in
     its left graph, the right-zero monoid's in its right graph."""

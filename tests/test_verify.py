@@ -1,4 +1,5 @@
 
+import gc
 import random
 
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catkit import boolmat as bm
+from catkit import coxeter as cx
 from catkit import dyck
 from catkit import permutations as pm
+from catkit import repmin as rm
 from catkit import verify
 from catkit.verify import ALL_CHECKS, run_verify_all
 
@@ -317,10 +320,12 @@ def test_sample_memos_match_fresh_reads(seed, n):
 
 
 def test_coset_max_reps_records_a_wrong_order(monkeypatch):
-    """With Bruhat order read once per system, a wrong order (length
-    alone) still fails the projection test with its counterexample."""
-    monkeypatch.setattr(verify.cx, "bruhat_leq",
-                        lambda sys, u, w: sys.length[u] <= sys.length[w])
+    """With Bruhat order read once per system from its ideals, a wrong
+    order (length alone) still fails the projection test with its
+    counterexample."""
+    monkeypatch.setattr(verify.cx, "bruhat_ideals", lambda sys: [
+        sum(1 << u for u in range(sys.order) if sys.length[u] <= length)
+        for length in sys.length])
     result = verify.check_coset_max_reps(4, random.Random(0))
     assert result.passed is False
     assert result.counterexample == {"type": "A3", "J": [0], "u": 2, "w": 1}
@@ -370,3 +375,86 @@ def test_admissible_pairs_fails_on_one_wrong_derivative(monkeypatch):
     assert not result.passed
     assert result.counterexample == {"n": 4, "first": "UUDUDDUD",
                                      "second": "UUUDDDUD"}
+
+
+@pytest.mark.parametrize("text", verify._HECKE)
+def test_union_action_matches_the_hecke_mul_route(text):
+    """Every element's action on the union of the maximal-parabolic
+    carriers, made in one pass as vertex-action-effective makes it, is
+    the action by cx.hecke_mul."""
+    sys = cx.from_type_string(text)
+    paras = cx.maximal_parabolics(sys)
+    carriers = rm.direct_sum([rm.projective_module(sys, s, para)
+                              for s, para in enumerate(paras)])
+    sentinel = carriers.dim
+    actions = []
+    for images in rm.element_column_maps(sys, carriers):
+        assert images[sentinel] == sentinel
+        labels = [carriers.labels[k] for k in images[:sentinel]]
+        actions.append(tuple(tuple(w for part, w in labels if part == offset)
+                             for offset in sorted({p for p, _ in labels})))
+    assert actions == oracles.union_actions_by_hecke_mul(sys, paras)
+
+
+def _counting(monkeypatch, module, name):
+    """Patch module.name with a wrapper that records each call's first
+    argument, and return the record."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_a_run_builds_each_system_and_report_once(monkeypatch):
+    systems = _counting(monkeypatch, cx, "coxeter_system")
+    reports = _counting(monkeypatch, rm, "min_dim_report")
+    socles = _counting(monkeypatch, rm, "simple_socle_check")
+    assert run_verify_all(5)["passed"]
+    built = sorted(sys.name for sys in reports)
+    assert built == sorted(verify._HECKE)
+    assert len(systems) == len(reports) == 9
+    assert {id(sys) for sys in socles} == {id(sys) for sys in reports}
+    assert len(socles) == 22  # the ranks of the nine systems
+
+
+def test_a_check_alone_builds_fresh(monkeypatch):
+    """Outside a run, simple-socle builds its reports anew, so a patched
+    socle check reaches it."""
+    original = rm.simple_socle_check
+
+    def failing_at_b3(sys, s, *args, **kwargs):
+        result = original(sys, s, *args, **kwargs)
+        if sys.name == "B3" and s == 1:
+            result["ok"] = False
+        return result
+    run_verify_all(2)
+    monkeypatch.setattr(rm, "simple_socle_check", failing_at_b3)
+    result = verify.check_simple_socle(5, random.Random(0))
+    assert result.passed is False
+    assert result.counterexample == {"type": "B3", "s": 1, "dimension": 1}
+
+
+def _live_systems():
+    gc.collect()
+    return sum(isinstance(x, cx.CoxeterSystem) for x in gc.get_objects())
+
+
+def test_a_run_holds_nothing_after_it_returns_or_raises(monkeypatch):
+    before = _live_systems()
+    run_verify_all(3)
+    assert verify._run is None
+    assert _live_systems() == before
+
+    def broken(n_max, rng):
+        raise RuntimeError("broken check")
+    hecke_side = [verify.check_coset_max_reps, verify.check_simple_socle,
+                  verify.check_hecke_min_dim]
+    monkeypatch.setattr(verify, "ALL_CHECKS", hecke_side + [broken])
+    with pytest.raises(RuntimeError, match="broken check"):
+        run_verify_all(3)
+    assert verify._run is None
+    assert _live_systems() == before
