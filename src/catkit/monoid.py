@@ -168,10 +168,11 @@ class MonoidTable:
 
     def is_j_trivial(self) -> bool:
         """Distinct elements generate distinct two-sided principal ideals:
-        neither Cayley graph has a cycle other than a self-loop.  The left
-        graph is read from left_columns, so no left_table() is made."""
-        return (_loops_only(self.right)
-                and _column_loops_only(self.left_columns, len(self)))
+        neither Cayley graph has a cycle other than a self-loop.  Both
+        graphs are read as columns: the left one from left_columns, so no
+        left_table() is made, the right one from a transpose made here."""
+        return (_loops_only(list(zip(*self.right)), len(self))
+                and _loops_only(self.left_columns, len(self)))
 
     def idempotent_indices(self) -> list[int]:
         return [i for i in range(len(self)) if self.product(i, i) == i]
@@ -230,27 +231,10 @@ class ProductRows:
         return self.table.product_rows()
 
 
-def _loops_only(graph: list[list[int]]) -> bool:
-    """True iff the graph with edges x -> y for y in graph[x] has no cycle
-    other than a self-loop, by Kahn's algorithm."""
-    indegree = [0] * len(graph)
-    for x, row in enumerate(graph):
-        for y in row:
-            if y != x:
-                indegree[y] += 1
-    order = [x for x, d in enumerate(indegree) if d == 0]
-    for x in order:  # the loop also visits the nodes appended during it
-        for y in graph[x]:
-            if y != x:
-                indegree[y] -= 1
-                if indegree[y] == 0:
-                    order.append(y)
-    return len(order) == len(graph)
-
-
-def _column_loops_only(columns: list[list[int]], size: int) -> bool:
-    """_loops_only of the graph on range(size) with an edge x -> column[x]
-    for each of the columns, read from the columns as they are."""
+def _loops_only(columns: Sequence[Sequence[int]], size: int) -> bool:
+    """True iff the graph on range(size) with an edge x -> column[x] for
+    each of the columns has no cycle other than a self-loop, by Kahn's
+    algorithm."""
     indegree = [0] * size
     for column in columns:
         for x, y in enumerate(column):

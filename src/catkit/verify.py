@@ -628,10 +628,12 @@ def check_union_ideal_effective(n_max: int, rng: random.Random) -> CheckResult:
 
     The carriers are the longest coset representatives of the parabolics
     on S - {s}, from one cx.maximal_parabolics pass, side by side in one
-    module of their folding actions.  Element i, its parent p times the
-    last letter a of its word, sends w to i * w = p * (a * w) in the
-    0-Hecke product, so rm.element_column_maps makes every element's
-    action in one pass, each one gather of p's action through a's folding.
+    module of their folding actions; the pass checks that each parabolic
+    has index many representatives, so the module's dimension is the
+    vertex count.  rm.is_effective decides whether distinct elements act
+    distinctly, reading a column's image under every element in one pass
+    (a * u sends it where a folds u's image) and stopping once the columns
+    read tell every element apart.
     """
     name = "vertex-action-effective"
     systems = [_system(t) for t in _SMALL]
@@ -639,9 +641,7 @@ def check_union_ideal_effective(n_max: int, rng: random.Random) -> CheckResult:
         paras = cx.maximal_parabolics(sys)
         carriers = rm.direct_sum([rm.projective_module(sys, s, para)
                                   for s, para in enumerate(paras)])
-        if carriers.dim != cx.vertex_count(sys, paras):
-            return _fail(name, {"type": sys.name, "reason": "carrier size"})
-        if len(set(rm.element_column_maps(sys, carriers))) != sys.order:
+        if not rm.is_effective(sys, carriers):
             return _fail(name, {"type": sys.name, "reason": "not effective"})
     return CheckResult(name, True, {"systems": [s.name for s in systems]})
 

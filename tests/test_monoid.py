@@ -269,13 +269,6 @@ ALL_TABLES = ([pytest.param(functools.partial(build, n), id=f"{family}{n}")
 
 
 @pytest.mark.parametrize("make", ALL_TABLES)
-def test_column_kahn_matches_the_row_kahn_on_the_left_table(make):
-    table = make()
-    assert (monoid._column_loops_only(table.left_columns, len(table))
-            == monoid._loops_only(table.left_table()))
-
-
-@pytest.mark.parametrize("make", ALL_TABLES)
 def test_two_sided_ideal_matches_the_left_row_search(make):
     table = make()
     for a in range(len(table)):

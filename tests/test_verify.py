@@ -380,8 +380,9 @@ def test_admissible_pairs_fails_on_one_wrong_derivative(monkeypatch):
 @pytest.mark.parametrize("text", verify._HECKE)
 def test_union_action_matches_the_hecke_mul_route(text):
     """Every element's action on the union of the maximal-parabolic
-    carriers, made in one pass as vertex-action-effective makes it, is
-    the action by cx.hecke_mul."""
+    carriers, the module vertex-action-effective builds, is the action by
+    cx.hecke_mul, and rm.is_effective reads it as effective iff the
+    hecke_mul actions are distinct."""
     sys = cx.from_type_string(text)
     paras = cx.maximal_parabolics(sys)
     carriers = rm.direct_sum([rm.projective_module(sys, s, para)
@@ -393,7 +394,16 @@ def test_union_action_matches_the_hecke_mul_route(text):
         labels = [carriers.labels[k] for k in images[:sentinel]]
         actions.append(tuple(tuple(w for part, w in labels if part == offset)
                              for offset in sorted({p for p, _ in labels})))
-    assert actions == oracles.union_actions_by_hecke_mul(sys, paras)
+    want = oracles.union_actions_by_hecke_mul(sys, paras)
+    assert actions == want
+    assert rm.is_effective(sys, carriers) is (len(set(want)) == sys.order)
+
+
+def test_union_ideal_effective_records_an_ineffective_action(monkeypatch):
+    monkeypatch.setattr(rm, "is_effective", lambda sys, module: False)
+    result = verify.check_union_ideal_effective(5, random.Random(0))
+    assert not result.passed
+    assert result.counterexample == {"type": "A2", "reason": "not effective"}
 
 
 def _counting(monkeypatch, module, name):
